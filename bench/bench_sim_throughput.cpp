@@ -385,10 +385,9 @@ BENCHMARK(BM_TrainerEpoch)
 // Arg 0: engines (server workers / pipeline stages); arg 1: execution mode.
 //
 // Host-loaded weights, 3-layer conv/pool/fc model (PR 4's workload):
-//   0 = fresh-construct: every request builds its own engine (pre-pool cost)
 //   1 = pooled-reuse, cold: leases reset engines, reprograms every request
 //   2 = pipelined sharding, cold: layer ranges on different pooled engines
-// Modes 0-2 produce bitwise-identical per-request results (test_serve pins
+// Modes 1-2 produce bitwise-identical per-request results (test_serve pins
 // it), so sim_cycles_per_s denominators agree — wall clock is the product.
 //
 // WLOAD-streamed weights, weight-heavy single-conv model (programming
@@ -430,8 +429,7 @@ void BM_ServeThroughput(benchmark::State& state) {
   const auto engines = static_cast<unsigned>(state.range(0));
   const auto mode = static_cast<int>(state.range(1));
   const bool wload = mode >= 3 && mode <= 5;
-  const std::string mode_label = mode == 0   ? "fresh-construct"
-                                 : mode == 1 ? "pooled-reuse"
+  const std::string mode_label = mode == 1   ? "pooled-reuse"
                                  : mode == 2 ? "pipelined"
                                  : mode == 3 ? "wload-cold-pooled"
                                  : mode == 4 ? "wload-warm-pooled"
@@ -537,7 +535,6 @@ void BM_ServeThroughput(benchmark::State& state) {
   } else {
     serve::ServeOptions so;
     so.engines = engines;
-    so.reuse_engines = mode != 0;
     so.warm_weights = mode == 4;
     so.use_wload_stream = wload;
     serve::InferenceServer server(registry, hw, so);
@@ -656,8 +653,7 @@ void BM_ServeThroughput(benchmark::State& state) {
   state.SetLabel("mode=" + mode_label);
 }
 BENCHMARK(BM_ServeThroughput)
-    ->Args({1, 0})->Args({1, 1})
-    ->Args({2, 0})->Args({2, 1})->Args({4, 1})
+    ->Args({1, 1})->Args({2, 1})->Args({4, 1})
     ->Args({2, 2})->Args({3, 2})
     // Mode 5's single-layer wload net clamps the deployment to one stage, so
     // the honest arg is 1 — a multi-stage warm-pipeline datapoint needs a

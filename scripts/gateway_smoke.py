@@ -132,6 +132,12 @@ def main():
         status, _, _ = exchange("POST", "/v1/infer?model=demo", b"garbage")
         expect(status == 400, "malformed body answers 400")
 
+        # Event timestamps are 8-bit, so a session clock holds at most 256
+        # steps: a longer horizon is a client error at open.
+        status, _, _ = exchange("POST", "/v1/session/open?model=demo",
+                                headers={**auth, "X-Sne-Horizon": "257"})
+        expect(status == 400, "X-Sne-Horizon: 257 answers 400")
+
         # Streaming session: open, feed plain, feed chunked, close.
         status, raw, _ = exchange("POST", "/v1/session/open?model=demo",
                                   headers={**auth, "X-Sne-Horizon": "16"})

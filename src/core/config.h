@@ -4,8 +4,9 @@
 // explored in section IV-A), 16 clusters per slice, 64 TDM neurons per
 // cluster (so 8 slices = 8192 neurons, Table II), 4-bit weights, 8-bit
 // state, a 256-set filter buffer, 16-word DMA FIFOs and a 400 MHz clock.
-// Ablation switches (TLU, clock gating, double buffering, adaptive
-// sequencer) default to the paper's design choices.
+// Ablation switches (clock gating, double buffering, adaptive sequencer)
+// default to the paper's design choices; the TLU ablation is a
+// FirePolicy, not a hardware switch.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,6 @@ struct SneConfig {
 
   // --- timing parameters ----------------------------------------------------
   std::uint32_t update_sweep_cycles = 48;///< cycles to consume one UPDATE event
-  std::uint32_t reset_sweep_cycles = 64; ///< cycles for an RST_OP state wipe
   double clock_mhz = 400.0;              ///< target clock (GF22FDX SSG point)
 
   // --- buffering ------------------------------------------------------------
@@ -50,7 +50,6 @@ struct SneConfig {
   std::uint32_t weights_per_set = 64;    ///< 4-bit weights per set (<= 8x8)
 
   // --- microarchitectural switches (ablations) -------------------------------
-  bool tlu_enabled = true;         ///< time-of-last-update silent-step skip
   bool clock_gating = true;        ///< gate clusters outside the event's filter
   bool double_buffered_state = true;  ///< 1 update/cycle; false: 2 cycles/update
   bool adaptive_sequencer = false; ///< sweep only needed rows (< 48 cycles)

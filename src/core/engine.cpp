@@ -6,6 +6,8 @@
 #include <numeric>
 #include <sstream>
 
+#include "common/fnv.h"
+
 namespace sne::core {
 
 SneEngine::SneEngine(SneConfig cfg, std::size_t memory_words,
@@ -58,7 +60,6 @@ void SneEngine::reset_machine_state() {
   in_dma_.reset();
   for (auto& dma : out_dmas_) dma.reset();
   collector_arb_.reset();
-  mem_.reset_rng();
   routes_ = XbarRoutes::time_multiplexed(cfg_.num_slices);
   rebuild_route_index();
   total_ = hwsim::ActivityCounters{};
@@ -84,18 +85,15 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
   // bit for bit (sne::serve pins it).
   collector_arb_.reset();
 
-  // Stream-split stall RNG: key the run's contention stream by the program
-  // *contents* (FNV-1a over the beats). Content keying — not a stage or run
-  // index — is what makes the tier invariant across stage/worker counts:
-  // identical per-layer programs draw identical stall patterns wherever they
-  // execute, and warm runs that skip a WLOAD program skip exactly that
-  // program's private stream. No-op under the legacy whole-engine ordering.
-  if (mem_.timing().rng_streams) {
-    std::uint64_t key = 0xcbf29ce484222325ull;
-    for (const event::Beat b : program) {
-      key ^= b;
-      key *= 0x100000001b3ull;
-    }
+  // Contention stalls draw from a stream keyed by the program *contents*
+  // (FNV-1a over the beats). Content keying — not a stage or run index — is
+  // what makes stalled results invariant across stage/worker counts and
+  // engine reuse: identical per-layer programs draw identical stall patterns
+  // wherever they execute, and warm runs that skip a WLOAD program skip
+  // exactly that program's private stream. Stall-free timing draws nothing.
+  if (mem_.timing().stall_probability > 0.0) {
+    std::uint64_t key = kFnv64Basis;
+    for (const event::Beat b : program) key = fnv64_step(key, b);
     mem_.begin_stream(key);
   }
 

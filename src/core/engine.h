@@ -95,10 +95,11 @@ class SneEngine {
 
   /// Returns the engine to its freshly-constructed state: every slice
   /// deconfigured and wiped, DMA FIFOs cleared, arbitration pointers rewound,
-  /// the memory contention-stall RNG reseeded, routes back to the
-  /// time-multiplexed default and the lifetime counters zeroed. Memory
-  /// *contents* are not scrubbed — every run loads its own program image and
-  /// dumps only the words it wrote, so stale words are unobservable. After
+  /// routes back to the time-multiplexed default and the lifetime counters
+  /// zeroed. The contention-stall RNG needs no rewind: every stalled run
+  /// reseeds it from the program's content key. Memory *contents* are not
+  /// scrubbed — every run loads its own program image and dumps only the
+  /// words it wrote, so stale words are unobservable. After
   /// reset() all subsequent runs are bitwise identical to the same runs on a
   /// new engine; the serving engine pool relies on this to reuse engines
   /// across requests instead of paying construction (the dominant cost: the
@@ -107,9 +108,9 @@ class SneEngine {
   void reset();
 
   /// Machine-state half of reset(): wipes run state (slice dynamics, DMA
-  /// FIFOs, arbitration, the stall RNG, routes, lifetime counters) while
-  /// keeping every slice's *programming* — configuration, weight store and
-  /// residency tags — resident. Cold runs on a machine-reset engine are
+  /// FIFOs, arbitration, routes, lifetime counters) while keeping every
+  /// slice's *programming* — configuration, weight store and residency
+  /// tags — resident. Cold runs on a machine-reset engine are
   /// bitwise identical to runs on a new engine (every pass reconfigures its
   /// slices; stale-configured slices are inert), while warm runs can skip
   /// reprogramming via warm_rewind_slice(). The weight-resident serving path

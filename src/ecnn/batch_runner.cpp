@@ -10,16 +10,6 @@ BatchRunner::BatchRunner(core::SneConfig hw, QuantizedNetwork net,
     : hw_(hw), net_(std::move(net)), opts_(opts) {
   hw_.validate();
   SNE_EXPECTS(!net_.layers.empty());
-  // Stream-split RNG (mem_timing.rng_streams) gives every WLOAD program its
-  // own content-keyed stall stream, so skipping it on warm runs no longer
-  // shifts the input run's draws; only the whole-engine ordering rejects.
-  if (opts_.weight_resident && opts_.use_wload_stream &&
-      opts_.mem_timing.stall_probability > 0.0 && !opts_.mem_timing.rng_streams)
-    throw ConfigError(
-        "weight-resident batch runs with streamed WLOAD programming require "
-        "deterministic memory timing (stall_probability == 0) under the "
-        "whole-engine RNG ordering; set mem_timing.rng_streams for the "
-        "stream-split tier");
   if (opts_.workers > 0) pool_ = std::make_unique<ThreadPool>(opts_.workers);
   engines_ = std::make_unique<EnginePool>(
       hw_, 0,

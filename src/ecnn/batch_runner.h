@@ -13,14 +13,14 @@
 // run_one() keeps the fresh-engine path as the reference semantics.
 //
 // Determinism: a released engine is machine-reset to the freshly-constructed
-// state (including the contention-stall RNG), so pooled results are
-// bitwise identical to fresh-engine results and independent of the worker
-// count and of how samples are scheduled onto threads — the regression
-// suite asserts this. Opting into BatchOptions::weight_resident trades that
-// strict tier for the relaxed one: repeat leases skip reprogramming
-// resident weights, so programming-phase counters drop out of the results
-// while events, spikes and post-programming counters stay bitwise equal to
-// run_one (see ecnn::NetworkRunner's warm mode).
+// state and contention stalls are keyed by program content, so pooled
+// results are bitwise identical to fresh-engine results and independent of
+// the worker count and of how samples are scheduled onto threads — the
+// regression suite asserts this. Opting into BatchOptions::weight_resident
+// trades that strict tier for the relaxed one: repeat leases skip
+// reprogramming resident weights, so programming-phase counters drop out of
+// the results while events, spikes and post-programming counters stay
+// bitwise equal to run_one (see ecnn::NetworkRunner's warm mode).
 #pragma once
 
 #include <cstddef>

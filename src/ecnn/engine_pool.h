@@ -146,7 +146,6 @@ class EnginePool {
   Stats stats() const;
 
   const core::SneConfig& hw() const { return hw_; }
-  const EnginePoolOptions& options() const { return opts_; }
 
  private:
   /// A claim on a free entry at a given release epoch. Records are pushed on

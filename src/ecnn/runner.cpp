@@ -107,7 +107,6 @@ LayerRunStats NetworkRunner::run_layer(const QuantizedLayerSpec& layer,
                                        std::uint64_t model_fp,
                                        std::size_t layer_index) {
   obs::ScopedSpan layer_span("ecnn.layer", layer_index);
-  check_warm_preconditions(model_fp);
   const std::uint16_t T = input.geometry().timesteps;
   LayerPlan local_plan;
   const LayerPlan* plan_ptr;
@@ -207,7 +206,6 @@ void NetworkRunner::program_layer(const QuantizedLayerSpec& layer,
                                   std::uint64_t model_fp,
                                   std::size_t layer_index) {
   SNE_EXPECTS(model_fp != 0);
-  check_warm_preconditions(model_fp);
   const LayerPlan& plan = cached_plan(layer, timesteps, model_fp, layer_index);
   hwsim::ActivityCounters discard;
   std::uint64_t discard_cycles = 0;
@@ -222,26 +220,6 @@ void NetworkRunner::program_layer(const QuantizedLayerSpec& layer,
       engine_->tag_resident_pass(pass.slice_id, tag);
     }
   }
-}
-
-void NetworkRunner::check_warm_preconditions(std::uint64_t model_fp) const {
-  // Cold runs interleave WLOAD stream runs with the input run on one
-  // engine, so under the whole-engine RNG ordering the contention-stall
-  // draws of the input run depend on how many the programming consumed.
-  // Skipping the programming would shift that sequence and break the
-  // relaxed tier's post-programming bitwise guarantee, so the combination
-  // is rejected outright (the host-load programming path draws nothing and
-  // stays warm-eligible). The stream-split tier (rng_streams) keys each
-  // run's draws by program content — WLOAD programs own their private
-  // streams and skipping them shifts nothing — so it is warm-eligible.
-  const auto& t = engine_->memory().timing();
-  if (model_fp != 0 && use_wload_stream_ && t.stall_probability > 0.0 &&
-      !t.rng_streams)
-    throw ConfigError(
-        "warm (weight-resident) runs with streamed WLOAD programming require "
-        "deterministic memory timing (stall_probability == 0) under the "
-        "whole-engine RNG ordering; set mem_timing.rng_streams for the "
-        "stream-split tier");
 }
 
 void NetworkRunner::program_weights(const SlicePass& pass,

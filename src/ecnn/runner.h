@@ -162,11 +162,6 @@ class NetworkRunner {
                        std::uint64_t& cycles,
                        obs::RunProfile* prof = nullptr);
 
-  /// Rejects warm mode in the one configuration whose programming phase is
-  /// entangled with the input run (streamed WLOAD under randomized memory
-  /// stalls: the RNG draw order is a whole-engine sequence).
-  void check_warm_preconditions(std::uint64_t model_fp) const;
-
   /// Warm-path plan cache: mapper plans are pure functions of
   /// (layer, timesteps) and the model fingerprint identifies the layer
   /// bit-for-bit, so repeat requests reuse the plan (including its weight

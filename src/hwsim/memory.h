@@ -20,23 +20,6 @@ struct MemoryTiming {
   std::uint32_t latency_cycles = 4;   ///< first-word access latency
   double stall_probability = 0.0;     ///< per-word chance of a contention stall
   std::uint32_t stall_cycles = 8;     ///< extra cycles when a stall hits
-  /// Stream-split stall RNG (the relaxed "stream-split" determinism tier).
-  ///
-  /// Default (false): all contention draws on one engine form a single
-  /// sequential whole-engine stream — strictly bitwise-reproducible, but the
-  /// sequence depends on *everything* the engine ran before, so pipelined
-  /// sharding and warm WLOAD skips cannot reproduce it and reject
-  /// stall_probability > 0.
-  ///
-  /// true: each run() reseeds the stall RNG from the root seed and a content
-  /// key of the program it streams (MemoryModel::begin_stream). Stall
-  /// patterns then depend only on (seed, program bytes), so identical
-  /// per-layer programs stall identically no matter which engine, pipeline
-  /// stage or batch worker executes them — results are invariant across
-  /// stage/worker counts and across warm runs that skip WLOAD programming.
-  /// Changes bits relative to the whole-engine ordering (a different, equally
-  /// valid contention sample); see README "RNG tiers".
-  bool rng_streams = false;
 };
 
 /// Flat word-addressable memory with a single streaming port.
@@ -48,22 +31,16 @@ class MemoryModel {
     SNE_EXPECTS(timing.latency_cycles >= 1);
   }
 
-  /// Rewinds the contention-stall RNG to its construction seed. Part of the
-  /// engine reset path: a reset engine replays the exact stall pattern of a
-  /// freshly constructed one, so pooled reuse stays bitwise reproducible.
-  /// Memory *contents* are left alone — every run confines its reads to the
-  /// program image it just loaded and its dumps to the words it just wrote.
-  void reset_rng() { rng_ = Rng(seed_); }
-
-  /// Stream-split tier: rewinds the contention RNG to the stream named by
-  /// `key` (derived from the root seed with Rng::fork's mixing constant; the
-  /// Rng constructor splitmixes the result, so nearby keys yield independent
-  /// sequences). The engine calls this at every run() start with a content
-  /// key of the program, making stall patterns a pure function of
-  /// (seed, program) instead of whole-engine history. No-op under the legacy
-  /// whole-engine ordering.
+  /// Rewinds the contention RNG to the stream named by `key` (derived from
+  /// the root seed with Rng::fork's mixing constant; the Rng constructor
+  /// splitmixes the result, so nearby keys yield independent sequences). The
+  /// engine calls this at every stalled run() start with a content key of
+  /// the program, so stall patterns are a pure function of (seed, program),
+  /// never of what the engine ran before: identical per-layer programs stall
+  /// identically on any engine, pipeline stage or batch worker, a reset
+  /// engine replays a fresh one, and warm runs that skip a WLOAD program skip
+  /// exactly that program's private stream.
   void begin_stream(std::uint64_t key) {
-    if (!timing_.rng_streams) return;
     rng_ = Rng(seed_ ^ (key * 0xD1B54A32D192ED03ull));
   }
 

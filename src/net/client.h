@@ -95,7 +95,9 @@ class HttpClient {
   }
 
   /// Same exchange with the body sent as chunked transfer-encoding, one
-  /// chunk per `chunks` element (how a session feed streams its body).
+  /// chunk per `chunks` element (how a session feed streams its body). The
+  /// framed message goes out in one send, like request(): separate small
+  /// writes would let Nagle's algorithm hold the tail for a delayed ACK.
   ClientResponse request_chunked(
       const std::string& method, const std::string& target,
       const std::vector<std::string>& chunks,
@@ -104,16 +106,16 @@ class HttpClient {
     msg += "Host: sne\r\n";
     for (const auto& [k, v] : headers) msg += k + ": " + v + "\r\n";
     msg += "Transfer-Encoding: chunked\r\n\r\n";
-    send_raw(msg);
     char len[32];
     for (const std::string& c : chunks) {
       if (c.empty()) continue;  // a zero-length chunk would end the body
       std::snprintf(len, sizeof len, "%zx\r\n", c.size());
-      send_raw(len);
-      send_raw(c);
-      send_raw("\r\n");
+      msg += len;
+      msg += c;
+      msg += "\r\n";
     }
-    send_raw("0\r\n\r\n");
+    msg += "0\r\n\r\n";
+    send_raw(msg);
     return read_response();
   }
 

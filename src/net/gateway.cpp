@@ -715,8 +715,10 @@ HttpResponse GatewayServer::handle_session_open(std::uint64_t conn_id,
   so.tenant = tenant;
   if (const std::string* h = req.header("x-sne-horizon")) {
     std::uint64_t v = 0;
-    if (!parse_u64(*h, v) || v == 0 || v > 0xFFFF)
-      return error_response(400, "malformed X-Sne-Horizon");
+    if (!parse_u64(*h, v) || v == 0 || v > serve::kMaxHorizonTimesteps)
+      return error_response(
+          400, "X-Sne-Horizon must be an integer in [1, " +
+                   std::to_string(serve::kMaxHorizonTimesteps) + "]");
     so.horizon_timesteps = static_cast<std::uint16_t>(v);
   }
   if (const std::string* h = req.header("x-sne-heartbeat-ms")) {

@@ -25,8 +25,9 @@
 //                                  maps onto InferenceServer::try_submit
 //   POST /v1/session/open?model=M opens a streaming session; the decimal
 //                                  session id is the response body
-//                                  (X-Sne-Horizon / X-Sne-Heartbeat-Ms
-//                                  request headers configure it)
+//                                  (X-Sne-Horizon, at most 256 steps,
+//                                  and X-Sne-Heartbeat-Ms request
+//                                  headers configure it)
 //   POST /v1/session/<id>/feed    one request body (Content-Length or
 //                                  chunked) ≡ one session chunk; output
 //                                  events + X-Sne-Cycles back

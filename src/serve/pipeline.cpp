@@ -21,17 +21,6 @@ PipelineDeployment::PipelineDeployment(core::SneConfig hw,
                                     /*weight_resident=*/opts.weight_resident}) {
   hw_.validate();
   SNE_EXPECTS(!net_.layers.empty());
-  // Under the legacy whole-engine RNG ordering, contention draws are one
-  // sequential stream the per-stage replay cannot reproduce. The stream-split
-  // tier (mem_timing.rng_streams) keys stall draws by program content, making
-  // them stage-count invariant, so randomized timing becomes serveable.
-  if (opts_.mem_timing.stall_probability > 0.0 && !opts_.mem_timing.rng_streams)
-    throw ConfigError(
-        "pipelined sharding requires deterministic memory timing "
-        "(stall_probability == 0) under the whole-engine RNG ordering: "
-        "contention-RNG draws are a whole-engine sequence the per-stage "
-        "replay cannot reproduce; set mem_timing.rng_streams for the "
-        "stream-split tier");
   if (opts_.weight_resident) model_fp_ = ecnn::model_fingerprint(net_);
 
   // Contiguous near-even split of the layer list over the stages.

@@ -18,9 +18,9 @@
 // one engine — stage boundaries cannot be observed in the results. The
 // assembled NetworkRunStats (per-layer stats, counters, cycles, outputs) is
 // pinned sample-for-sample against the serial reference by test_serve.
-// Randomized memory-contention stalls are rejected at construction: their
-// RNG consumption order is a whole-engine property the sharded replay cannot
-// reproduce.
+// Randomized memory-contention stalls keep that guarantee: each run draws
+// from a stream keyed by its program's contents, so a layer stalls the same
+// on whichever stage engine hosts it.
 //
 // Weight residency (PipelineOptions::weight_resident, default on): a stage
 // owns its layer range for the deployment's whole lifetime, so reprogramming
@@ -66,7 +66,6 @@ struct PipelineOptions {
   std::size_t queue_capacity = 4;  ///< per-stage bounded stream queue
   bool use_wload_stream = false;
   std::size_t memory_words = (1u << 22);
-  /// stall_probability > 0 needs mem_timing.rng_streams (stream-split tier)
   hwsim::MemoryTiming mem_timing{};
   event::FirePolicy policy = event::FirePolicy::kActiveStepsOnly;
   /// Weight-resident stages (program-once / serve-many): each stage keeps

@@ -36,7 +36,7 @@ InferenceServer::InferenceServer(const ModelRegistry& registry,
     : registry_(registry),
       hw_(hw),
       opts_(opts),
-      pool_(hw, opts.reuse_engines ? opts.engines : 0,
+      pool_(hw, opts.engines,
             ecnn::EnginePoolOptions{opts.memory_words, opts.mem_timing,
                                     opts.use_wload_stream,
                                     /*max_engines=*/opts.engines,
@@ -45,16 +45,6 @@ InferenceServer::InferenceServer(const ModelRegistry& registry,
       started_at_(std::chrono::steady_clock::now()) {
   hw_.validate();
   if (opts_.engines == 0) throw ConfigError("server needs at least one engine");
-  // Fail fast on the combination every warm run would reject anyway
-  // (NetworkRunner::check_warm_preconditions): constructing a server whose
-  // requests all fail at runtime helps nobody.
-  if (opts_.reuse_engines && opts_.warm_weights && opts_.use_wload_stream &&
-      opts_.mem_timing.stall_probability > 0.0 && !opts_.mem_timing.rng_streams)
-    throw ConfigError(
-        "warm serving with streamed WLOAD programming requires deterministic "
-        "memory timing (stall_probability == 0) under the whole-engine RNG "
-        "ordering; set warm_weights=false to serve this configuration cold, "
-        "or mem_timing.rng_streams for the stream-split tier");
   workers_.reserve(opts_.engines);
   for (unsigned i = 0; i < opts_.engines; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -404,31 +394,20 @@ void InferenceServer::process(Request& req, const std::string& tenant,
     error = std::make_exception_ptr(DeadlineExceeded(
         "expired in queue: deadline passed before dispatch"));
   }
-  // Warm dispatch only makes sense on pooled engines: a fresh-construct
-  // engine can never hold resident weights.
-  const std::uint64_t fp =
-      opts_.reuse_engines && opts_.warm_weights ? req.model_fp : 0;
+  const std::uint64_t fp = opts_.warm_weights ? req.model_fp : 0;
   for (unsigned attempt = 0; !error; ++attempt) {
     try {
-      if (opts_.reuse_engines) {
-        // The lease lives inside the try scope: when the run throws, the
-        // poisoned lease destructs (the pool discards the engine and frees
-        // its capacity slot) *before* the retry acquires — so retries never
-        // deadlock, even on a max_engines=1 pool.
-        ecnn::EnginePool::Lease lease = pool_.acquire(fp);
-        try {
-          faults::check("serve.server.dispatch");
-          result = lease.runner().run(*req.model, req.input, opts_.policy, fp);
-        } catch (...) {
-          lease.poison();
-          throw;
-        }
-      } else {
-        // Fresh-construct baseline: what serving costs without the pool.
-        core::SneEngine engine(hw_, opts_.memory_words, opts_.mem_timing);
-        ecnn::NetworkRunner runner(engine, opts_.use_wload_stream);
+      // The lease lives inside the try scope: when the run throws, the
+      // poisoned lease destructs (the pool discards the engine and frees its
+      // capacity slot) *before* the retry acquires — so retries never
+      // deadlock, even on a max_engines=1 pool.
+      ecnn::EnginePool::Lease lease = pool_.acquire(fp);
+      try {
         faults::check("serve.server.dispatch");
-        result = runner.run(*req.model, req.input, opts_.policy);
+        result = lease.runner().run(*req.model, req.input, opts_.policy, fp);
+      } catch (...) {
+        lease.poison();
+        throw;
       }
       break;  // dispatched cleanly
     } catch (...) {

@@ -72,10 +72,6 @@ struct ServeOptions {
   /// single-FIFO server; registered tenants size their own quotas via
   /// TenantConfig::max_queue).
   std::size_t queue_capacity = 64;
-  /// false: every request constructs a fresh engine instead of leasing from
-  /// the pool. Results are identical either way; this is the A/B knob
-  /// BM_ServeThroughput uses to price per-request construction.
-  bool reuse_engines = true;
   /// Weight-resident dispatch (program-once / serve-many): leases carry the
   /// request's model fingerprint, the pool prefers an engine that already
   /// holds the model, and warm runs skip reprogramming resident passes.

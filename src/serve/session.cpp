@@ -12,6 +12,11 @@ namespace sne::serve {
 
 using detail::ms_since;
 
+namespace {
+/// Bounded chunk queue depth (feed blocks on backpressure).
+constexpr std::size_t kChunkQueue = 8;
+}  // namespace
+
 StreamingSession::StreamingSession(ecnn::EnginePool& pool,
                                    ModelRegistry::ModelPtr model,
                                    SessionOptions opts, Hooks hooks)
@@ -19,21 +24,16 @@ StreamingSession::StreamingSession(ecnn::EnginePool& pool,
       model_(std::move(model)),
       opts_(std::move(opts)),
       hooks_(std::move(hooks)),
-      queue_(opts_.chunk_queue == 0 ? 1 : opts_.chunk_queue),
+      queue_(kChunkQueue),
       last_activity_(std::chrono::steady_clock::now()) {
   SNE_EXPECTS(model_ != nullptr);
-  if (opts_.horizon_timesteps == 0)
-    throw ConfigError("session horizon_timesteps must be >= 1");
-  // Respawn determinism: whole-engine stall RNG draws depend on everything
-  // the engine ran before, which a replacement engine cannot replay
-  // mid-session. Content-keyed streams (rng_streams) reseed per program and
-  // are respawn-invariant.
-  const hwsim::MemoryTiming& mt = pool_.options().mem_timing;
-  if (mt.stall_probability > 0.0 && !mt.rng_streams)
-    throw ConfigError(
-        "streaming sessions need deterministic memory timing: "
-        "stall_probability > 0 requires mem_timing.rng_streams (the "
-        "stream-split tier) so a respawned engine replays identical stalls");
+  // Chunks are rebased onto the session clock, so the last step's events
+  // carry timestamp horizon - 1, which must fit the 8-bit event field.
+  if (opts_.horizon_timesteps == 0 ||
+      opts_.horizon_timesteps > kMaxHorizonTimesteps)
+    throw ConfigError("session horizon_timesteps must be in [1, " +
+                      std::to_string(kMaxHorizonTimesteps) +
+                      "] (8-bit event timestamps)");
   // First spawn happens on the caller: pipeline-mode config errors (multi-
   // pass layers, too many layers for the slice count) surface at open, not
   // on the first chunk.

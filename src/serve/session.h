@@ -60,15 +60,16 @@
 
 namespace sne::serve {
 
+/// Longest session clock: one step per value of the 8-bit event timestamp.
+inline constexpr std::uint16_t kMaxHorizonTimesteps = event::kMaxTime + 1;
+
 struct SessionOptions {
   /// Tenant the session's chunks are accounted to (server-opened sessions).
   std::string tenant = kDefaultTenant;
-  /// Session clock capacity: the sum of chunk timesteps may not exceed this
-  /// (event timestamps are 16-bit). Also the horizon the pipeline plan is
-  /// built for.
-  std::uint16_t horizon_timesteps = 1024;
-  /// Bounded chunk queue (feed blocks on backpressure).
-  std::size_t chunk_queue = 8;
+  /// Session clock capacity: the sum of chunk timesteps may not exceed this.
+  /// At most kMaxHorizonTimesteps (event timestamps are 8-bit). Also the
+  /// horizon the pipeline plan is built for.
+  std::uint16_t horizon_timesteps = kMaxHorizonTimesteps;
   /// Idle budget: a session with no feed()/heartbeat() for this long closes
   /// itself and fails queued chunks (0 = never).
   double heartbeat_timeout_ms = 0.0;
@@ -115,10 +116,8 @@ class StreamingSession {
 
   /// Leases an engine from `pool`, programs the model as a pipeline and
   /// starts the chunk worker. Throws ConfigError when the model cannot run
-  /// in pipeline mode (multi-pass layers) or the pool's memory timing draws
-  /// nondeterministic whole-engine stalls (a respawn could not reproduce
-  /// them; mem_timing.rng_streams restores determinism via content-keyed
-  /// streams).
+  /// in pipeline mode (multi-pass layers) or the horizon does not fit the
+  /// 8-bit event clock.
   StreamingSession(ecnn::EnginePool& pool, ModelRegistry::ModelPtr model,
                    SessionOptions opts, Hooks hooks = {});
   ~StreamingSession();

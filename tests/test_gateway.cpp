@@ -218,6 +218,31 @@ TEST(GatewayTest, ChunkedSessionMatchesInProcessSession) {
   EXPECT_EQ(gs.sessions_open_now, 0u);
 }
 
+TEST(GatewayTest, SessionHorizonIsBoundedByTheEventClock) {
+  Stack stack;
+  net::HttpClient c = stack.connect();
+  // 257 steps cannot be timestamped with 8-bit event times: a client error
+  // at open, never a 500 mid-session.
+  for (const char* bad : {"257", "0", "65535"}) {
+    const net::ClientResponse r = c.request(
+        "POST", "/v1/session/open?model=pipe", {{"X-Sne-Horizon", bad}});
+    EXPECT_EQ(r.status, 400) << bad << ": " << r.body;
+  }
+
+  const net::ClientResponse open = c.request(
+      "POST", "/v1/session/open?model=pipe", {{"X-Sne-Horizon", "256"}});
+  ASSERT_EQ(open.status, 200) << open.body;
+  const std::string sid = open.body;
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    const net::ClientResponse r = c.request_chunked(
+        "POST", "/v1/session/" + sid + "/feed",
+        {event::encode_stream(
+            data::random_stream({1, 16, 16, 16}, 0.05, 500 + i))});
+    ASSERT_EQ(r.status, 200) << "chunk " << i << ": " << r.body;
+  }
+  EXPECT_EQ(c.request("POST", "/v1/session/" + sid + "/close").status, 200);
+}
+
 // --- authentication ----------------------------------------------------------
 
 TEST(GatewayTest, AuthMapsTokensToTenantsAndRejectsTheRest) {

@@ -339,7 +339,6 @@ std::vector<NetworkRunStats> serve_batch(unsigned workers) {
   models.put("m", small_net());
   serve::ServeOptions so;
   so.engines = workers;
-  so.reuse_engines = true;
   // Strict tier: every request reprograms, so the span vocabulary (and the
   // results) cannot depend on which pooled engine a request happens to land
   // on — warm-skip spans are scheduling-dependent by design.
@@ -469,7 +468,6 @@ TEST(Tracer, WarmServeIsBitwiseIdenticalWithTelemetryOn) {
     models.put("m", small_net());
     serve::ServeOptions so;
     so.engines = 1;
-    so.reuse_engines = true;
     so.warm_weights = true;
     serve::InferenceServer server(models, SneConfig::paper_design_point(2),
                                   so);
@@ -564,7 +562,6 @@ TEST(Adapters, ServerStatsPublishHeadlineAndTenantSeries) {
   models.put("m", small_net());
   serve::ServeOptions so;
   so.engines = 2;
-  so.reuse_engines = true;
   serve::InferenceServer server(models, SneConfig::paper_design_point(2), so);
   std::vector<serve::Ticket> tickets;
   for (const auto& in : serve_inputs()) tickets.push_back(server.submit("m", in));

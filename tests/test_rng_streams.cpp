@@ -1,35 +1,36 @@
-// Stream-split stall-RNG tier regression suite.
+// Content-keyed stall-RNG regression suite.
 //
-// hwsim::MemoryTiming::rng_streams replaces the legacy whole-engine
-// contention-RNG ordering with per-run streams keyed on the program *content*
-// (FNV-1a over the beats): every engine.run() draws from a stream that
-// depends only on (engine seed, program bytes), never on what ran before or
-// where the run executes. That buys its own determinism tier:
+// Under randomized memory contention (MemoryTiming::stall_probability > 0)
+// every engine.run() draws its stalls from a stream keyed on the program
+// *content* (FNV-1a over the beats): the draws depend only on (engine seed,
+// program bytes), never on what ran before or where the run executes. That
+// makes stalled results as reproducible as stall-free ones:
 //
 //   * results are invariant across pipeline stage counts and batch worker
 //     counts, and equal to the serial fresh-engine reference — the
 //     decomposition of a network into engines stops being observable;
-//   * the serving front-ends (PipelineDeployment, BatchRunner, warm
-//     NetworkRunner, InferenceServer) accept stall_probability > 0 instead
-//     of rejecting it at construction;
+//   * every front-end (PipelineDeployment, BatchRunner, warm NetworkRunner,
+//     InferenceServer, StreamingSession) accepts stall_probability > 0;
 //   * warm runs keep the relaxed-tier arithmetic identity exactly, because
 //     the skipped WLOAD programs drew from private streams the sample
-//     programs never observe.
-//
-// The draws themselves differ from the whole-engine tier (different but
-// equally valid stall sequences) — which is why rng_streams defaults to
-// false and the legacy rejections stay pinned (test_serve.cpp).
+//     programs never observe;
+//   * a session whose engine is respawned mid-stream replays the stalls of
+//     an undisturbed one.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "core/engine.h"
 #include "data/synthetic.h"
 #include "ecnn/batch_runner.h"
+#include "ecnn/engine_pool.h"
 #include "ecnn/runner.h"
 #include "serve/pipeline.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "serve/session.h"
 #include "test_util.h"
 
 namespace sne {
@@ -104,15 +105,14 @@ QuantizedNetwork three_layer_net() {
   return net;
 }
 
-/// Randomized contention timing in stream-split mode. Stalls are long and
-/// frequent enough that the input DMA FIFO cannot absorb them all — they
-/// show up in cycle counts, so the invariance tests are not vacuous.
-hwsim::MemoryTiming stream_split_timing() {
+/// Randomized contention timing. Stalls are long and frequent enough that
+/// the input DMA FIFO cannot absorb them all — they show up in cycle
+/// counts, so the invariance tests are not vacuous.
+hwsim::MemoryTiming stall_timing() {
   hwsim::MemoryTiming t;
   t.latency_cycles = 6;
   t.stall_probability = 0.25;
   t.stall_cycles = 31;
-  t.rng_streams = true;
   return t;
 }
 
@@ -148,7 +148,7 @@ TEST(RngStreamsTest, PipelineStageCountInvariance) {
     inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 640 + s));
 
   // Serial fresh-engine reference with the same timing.
-  SneEngine engine(hw, 1u << 20, stream_split_timing());
+  SneEngine engine(hw, 1u << 20, stall_timing());
   NetworkRunner runner(engine, /*use_wload_stream=*/false);
   std::vector<NetworkRunStats> ref;
   for (const auto& in : inputs) {
@@ -167,7 +167,7 @@ TEST(RngStreamsTest, PipelineStageCountInvariance) {
     serve::PipelineOptions po;
     po.stages = stages;
     po.memory_words = 1u << 20;
-    po.mem_timing = stream_split_timing();
+    po.mem_timing = stall_timing();
     po.weight_resident = false;  // strict comparison against the cold ref
     serve::PipelineDeployment deployment(hw, net, po);
     const auto results = deployment.run(inputs);
@@ -179,7 +179,7 @@ TEST(RngStreamsTest, PipelineStageCountInvariance) {
 
 TEST(RngStreamsTest, BatchWorkerCountInvariance) {
   // Same promise for the dataset runner: worker count and engine assignment
-  // are unobservable under stream-split stall RNG.
+  // are unobservable under content-keyed stalls.
   const QuantizedNetwork net = three_layer_net();
   std::vector<event::EventStream> inputs;
   for (std::uint64_t s = 0; s < 4; ++s)
@@ -190,7 +190,7 @@ TEST(RngStreamsTest, BatchWorkerCountInvariance) {
     ecnn::BatchOptions bo;
     bo.workers = workers;
     bo.memory_words = 1u << 20;
-    bo.mem_timing = stream_split_timing();
+    bo.mem_timing = stall_timing();
     ecnn::BatchRunner batch(SneConfig::paper_design_point(2), net, bo);
     all.push_back(batch.run(inputs));
   }
@@ -204,9 +204,8 @@ TEST(RngStreamsTest, BatchWorkerCountInvariance) {
 
 TEST(RngStreamsTest, FastForwardAndDrainBatchingStayExact) {
   // The compressed paths must consume each run's stream exactly like the
-  // per-cycle reference: three-way bitwise equality under stream-split
-  // stalls (the rng_streams analogue of FastForwardEquivalence's
-  // RandomMemoryStalls and the DrainEquivalence suite).
+  // per-cycle reference: three-way bitwise equality under content-keyed
+  // stalls (the stalled analogue of the DrainEquivalence suite).
   QuantizedLayerSpec l = conv_layer(1, 16, 8, 0, 71);
   for (auto& w : l.weights)
     w = static_cast<std::int8_t>(w <= 0 ? 1 : w);
@@ -220,7 +219,7 @@ TEST(RngStreamsTest, FastForwardAndDrainBatchingStayExact) {
     SneConfig hw = SneConfig::paper_design_point(2);
     hw.fast_forward = mode > 0;
     hw.drain_batching = mode > 1;
-    SneEngine engine(hw, 1u << 20, stream_split_timing());
+    SneEngine engine(hw, 1u << 20, stall_timing());
     NetworkRunner runner(engine, /*use_wload_stream=*/false);
     stats[k++] = runner.run(net, in);
   }
@@ -230,11 +229,11 @@ TEST(RngStreamsTest, FastForwardAndDrainBatchingStayExact) {
 }
 
 TEST(RngStreamsTest, WarmWloadRelaxedTierUnderStreamSplit) {
-  // The combination the legacy tier forbids outright: WLOAD-streamed
-  // programming, randomized stalls, warm reuse. Content-keyed streams make
-  // it sound — the WLOAD programs a warm run skips drew from streams the
-  // sample program never touches, so the relaxed-tier arithmetic identity
-  // (cold == warm + programming, exactly, no tolerances) still holds.
+  // WLOAD-streamed programming, randomized stalls, warm reuse. Content-keyed
+  // streams make it sound — the WLOAD programs a warm run skips drew from
+  // streams the sample program never touches, so the relaxed-tier
+  // arithmetic identity (cold == warm + programming, exactly, no
+  // tolerances) still holds.
   QuantizedNetwork net;
   net.layers.push_back(conv_layer(1, 16, 8, 4, 11));  // single round
   const auto in = data::random_stream({1, 16, 16, 10}, 0.08, 51);
@@ -242,12 +241,12 @@ TEST(RngStreamsTest, WarmWloadRelaxedTierUnderStreamSplit) {
   ASSERT_NE(fp, 0u);
   const SneConfig hw = SneConfig::paper_design_point(2);
 
-  SneEngine ref_engine(hw, 1u << 20, stream_split_timing());
+  SneEngine ref_engine(hw, 1u << 20, stall_timing());
   NetworkRunner ref_runner(ref_engine, /*use_wload_stream=*/true);
   const NetworkRunStats ref = ref_runner.run(net, in);
   ASSERT_GT(ref.programming.weight_load_beats, 0u);
 
-  SneEngine engine(hw, 1u << 20, stream_split_timing());
+  SneEngine engine(hw, 1u << 20, stall_timing());
   NetworkRunner runner(engine, /*use_wload_stream=*/true);
   const NetworkRunStats first =
       runner.run(net, in, event::FirePolicy::kActiveStepsOnly, fp);
@@ -273,13 +272,12 @@ TEST(RngStreamsTest, WarmWloadRelaxedTierUnderStreamSplit) {
 
 TEST(RngStreamsTest, ServingFrontEndsAcceptStreamSplitStalls) {
   // Construction-time acceptance across the stack, plus a served request
-  // matching the serial reference; the legacy whole-engine rejections stay
-  // pinned by test_serve.cpp.
+  // matching the serial reference.
   const QuantizedNetwork net = three_layer_net();
   const SneConfig hw = SneConfig::paper_design_point(2);
   const auto in = data::random_stream({1, 16, 16, 10}, 0.08, 680);
 
-  SneEngine engine(hw, 1u << 20, stream_split_timing());
+  SneEngine engine(hw, 1u << 20, stall_timing());
   NetworkRunner runner(engine, /*use_wload_stream=*/false);
   const NetworkRunStats ref = runner.run(net, in);
 
@@ -288,22 +286,80 @@ TEST(RngStreamsTest, ServingFrontEndsAcceptStreamSplitStalls) {
   serve::ServeOptions so;
   so.engines = 2;
   so.memory_words = 1u << 20;
-  so.mem_timing = stream_split_timing();
+  so.mem_timing = stall_timing();
   so.warm_weights = false;  // strict comparison against the cold ref
   serve::InferenceServer server(registry, hw, so);
   expect_equivalent(ref, server.submit("m", in).wait());
 
-  // The combination the server fails fast on — warm weight-resident leases
-  // with WLOAD-streamed programming under stalls — is accepted once
-  // rng_streams is set, and still rejected under the legacy whole-engine
-  // ordering.
+  // Warm weight-resident leases with WLOAD-streamed programming under
+  // stalls serve too.
   serve::ServeOptions warm = so;
   warm.warm_weights = true;
   warm.use_wload_stream = true;
   serve::InferenceServer warm_server(registry, hw, warm);
   EXPECT_GT(warm_server.submit("m", in).wait().cycles, 0u);
-  warm.mem_timing.rng_streams = false;
-  EXPECT_THROW(serve::InferenceServer(registry, hw, warm), ConfigError);
+}
+
+TEST(RngStreamsTest, SessionRespawnReplaysStalls) {
+  // A chunk that crashes mid-session quarantines the engine; the next chunk
+  // respawns a fresh one and restores the last good snapshot. Its stalls
+  // are keyed by its own program, so every surviving chunk is bitwise
+  // identical to the same chunks fed through an undisturbed session.
+  QuantizedNetwork net;
+  net.layers.push_back(conv_layer(1, 16, 2, 4, 31));
+  net.layers.push_back(conv_layer(2, 16, 2, 5, 32));
+  const auto model = std::make_shared<const QuantizedNetwork>(net);
+  const SneConfig hw = SneConfig::paper_design_point(2);
+  std::vector<event::EventStream> chunks;
+  for (std::uint64_t s = 0; s < 4; ++s)
+    chunks.push_back(data::random_stream({1, 16, 16, 4}, 0.1, 700 + s));
+
+  ecnn::EnginePoolOptions po;
+  po.memory_words = 1u << 20;
+  po.mem_timing = stall_timing();
+  ecnn::EnginePool pool(hw, 0, po);
+  serve::SessionOptions sopts;
+  sopts.horizon_timesteps = 16;
+
+  std::vector<NetworkRunStats> survived;
+  std::vector<std::size_t> survived_idx;
+  serve::StreamingSession victim(pool, model, sopts);
+  {
+    faults::FaultConfig cfg;
+    cfg.rules.push_back(faults::FaultRule{"serve.session.chunk", {2}, 0.0, 0.0});
+    faults::ScopedFaults chaos(cfg);
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      try {
+        survived.push_back(victim.feed(chunks[i]).wait());
+        survived_idx.push_back(i);
+      } catch (const serve::ChunkError&) {
+        EXPECT_EQ(i, 1u);
+      }
+    }
+  }
+  victim.close();
+  ASSERT_EQ(survived_idx, (std::vector<std::size_t>{0, 2, 3}));
+  EXPECT_EQ(victim.stats().respawns, 1u);
+
+  serve::StreamingSession replay(pool, model, sopts);
+  ecnn::EnginePoolOptions quiet_po;
+  quiet_po.memory_words = 1u << 20;
+  ecnn::EnginePool quiet_pool(hw, 0, quiet_po);
+  serve::StreamingSession quiet(quiet_pool, model, sopts);
+  for (std::size_t k = 0; k < survived.size(); ++k) {
+    const auto& chunk = chunks[survived_idx[k]];
+    const NetworkRunStats r = replay.feed(chunk).wait();
+    EXPECT_EQ(survived[k].cycles, r.cycles) << "survivor " << k;
+    EXPECT_TRUE(survived[k].total == r.total) << "survivor " << k;
+    EXPECT_TRUE(survived[k].final_output == r.final_output)
+        << "survivor " << k;
+    // Stalls actually happen, and change timing only.
+    const NetworkRunStats q = quiet.feed(chunk).wait();
+    EXPECT_GT(r.cycles, q.cycles) << "survivor " << k;
+    EXPECT_EQ(testutil::canonical_spikes(r.final_output),
+              testutil::canonical_spikes(q.final_output))
+        << "survivor " << k;
+  }
 }
 
 }  // namespace

@@ -427,7 +427,7 @@ TEST(BatchRunnerTest, PooledRunMatchesFreshUnderStallRng) {
   ecnn::BatchOptions bo;
   bo.memory_words = 1u << 20;
   bo.workers = 2;
-  bo.mem_timing.stall_probability = 0.2;  // reset must rewind the stall RNG
+  bo.mem_timing.stall_probability = 0.2;  // stalls reseed per program
   ecnn::BatchRunner runner(SneConfig::paper_design_point(2), net, bo);
   const auto pooled = runner.run(inputs);
   ASSERT_EQ(pooled.size(), inputs.size());
@@ -623,14 +623,6 @@ TEST(PipelineTest, WloadStreamProgrammingMatchesSerial) {
   expect_equivalent(ref, results[0]);
 }
 
-TEST(PipelineTest, RejectsRandomizedMemoryTiming) {
-  serve::PipelineOptions po;
-  po.mem_timing.stall_probability = 0.1;
-  EXPECT_THROW(serve::PipelineDeployment(SneConfig::paper_design_point(2),
-                                         three_layer_net(), po),
-               ConfigError);
-}
-
 // --- weight-resident (warm) serving ------------------------------------------
 //
 // The relaxed equality tier: a warm run's outputs, spikes and
@@ -689,7 +681,7 @@ TEST(WarmRunTest, WarmRunsObeyRelaxedTier) {
 TEST(WarmRunTest, MachineResetColdRunsStayBitwiseFresh) {
   // Negative control for the reset split: a machine reset alone (programming
   // kept resident but no warm fingerprint passed) never changes a cold run's
-  // bits — stale-configured slices are inert and the stall RNG rewinds.
+  // bits — stale-configured slices are inert and stalls reseed per program.
   const QuantizedNetwork other = three_layer_net();
   QuantizedNetwork net;
   net.layers.push_back(conv_layer(1, 16, 4, 3, 77));
@@ -732,46 +724,6 @@ TEST(WarmRunTest, ResidencyNeverCrossesModels) {
       runner.run(b, in, event::FirePolicy::kActiveStepsOnly, fb);
   EXPECT_EQ(got_b.passes_warm, 0u);
   expect_equivalent(ref_b, got_b);  // fully cold => strict tier
-}
-
-TEST(WarmRunTest, RejectsWloadStreamUnderStallRng) {
-  QuantizedNetwork net;
-  net.layers.push_back(conv_layer(1, 16, 4, 4, 41));
-  hwsim::MemoryTiming timing;
-  timing.stall_probability = 0.1;
-  SneEngine engine(SneConfig::paper_design_point(2), 1u << 20, timing);
-  NetworkRunner runner(engine, /*use_wload_stream=*/true);
-  const auto in = data::random_stream({1, 16, 16, 6}, 0.05, 5);
-  const std::uint64_t fp = ecnn::model_fingerprint(net);
-  EXPECT_THROW(runner.run(net, in, event::FirePolicy::kActiveStepsOnly, fp),
-               ConfigError);
-  // Cold runs on the same configuration remain allowed.
-  EXPECT_GT(runner.run(net, in).cycles, 0u);
-  // So do warm runs with host-side loading (no programming RNG draws).
-  NetworkRunner host_runner(engine, /*use_wload_stream=*/false);
-  EXPECT_GT(
-      host_runner.run(net, in, event::FirePolicy::kActiveStepsOnly, fp).cycles,
-      0u);
-
-  // The serving front-ends reject the combination at construction — not one
-  // failed ticket per request.
-  serve::ModelRegistry registry;
-  registry.put("m", net);
-  serve::ServeOptions so;
-  so.use_wload_stream = true;
-  so.mem_timing.stall_probability = 0.1;
-  EXPECT_THROW(
-      serve::InferenceServer(registry, SneConfig::paper_design_point(2), so),
-      ConfigError);
-  so.warm_weights = false;  // cold serving of the same config stays legal
-  EXPECT_NO_THROW(
-      serve::InferenceServer(registry, SneConfig::paper_design_point(2), so));
-  ecnn::BatchOptions bo;
-  bo.use_wload_stream = true;
-  bo.mem_timing.stall_probability = 0.1;
-  bo.weight_resident = true;
-  EXPECT_THROW(ecnn::BatchRunner(SneConfig::paper_design_point(2), net, bo),
-               ConfigError);
 }
 
 TEST(ServerTest, WarmServingObeysRelaxedTierAndSkipsReprogramming) {

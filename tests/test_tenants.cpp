@@ -869,17 +869,27 @@ TEST(SessionTest, HorizonExhaustionIsDiagnosable) {
   EXPECT_EQ(s.stats().timesteps_consumed, 8u);
 }
 
-TEST(SessionTest, RejectsNondeterministicStallRng) {
-  const QuantizedNetwork net = pipeline_net();
+TEST(SessionTest, HorizonIsBoundedByTheEventClock) {
+  // Chunks are rebased onto the session clock and event timestamps are
+  // 8-bit, so the clock holds exactly kMaxTime + 1 = 256 steps.
+  const auto model = std::make_shared<const QuantizedNetwork>(pipeline_net());
   const SneConfig hw = SneConfig::paper_design_point(2);
-  ecnn::EnginePoolOptions po = session_pool_opts();
-  po.mem_timing.stall_probability = 0.05;
-  po.mem_timing.rng_streams = false;  // whole-engine RNG: not respawnable
-  ecnn::EnginePool pool(hw, 0, po);
+  ecnn::EnginePool pool(hw, 0, session_pool_opts());
   serve::SessionOptions sopts;
-  EXPECT_THROW(serve::StreamingSession(
-                   pool, std::make_shared<const QuantizedNetwork>(net), sopts),
-               ConfigError);
+  EXPECT_EQ(sopts.horizon_timesteps, event::kMaxTime + 1);
+  serve::SessionOptions too_long;
+  too_long.horizon_timesteps = event::kMaxTime + 2;
+  EXPECT_THROW(serve::StreamingSession(pool, model, too_long), ConfigError);
+
+  serve::StreamingSession s(pool, model, sopts);
+  for (std::uint64_t i = 0; i < 16; ++i)
+    EXPECT_GT(s.feed(data::random_stream({1, 16, 16, 16}, 0.05, 300 + i))
+                  .wait()
+                  .cycles,
+              0u)
+        << "chunk " << i;
+  EXPECT_EQ(s.stats().timesteps_consumed, 256u);
+  EXPECT_EQ(s.stats().chunks_failed, 0u);
 }
 
 // --- server-managed sessions -------------------------------------------------
