@@ -13,8 +13,8 @@
 // Options:
 //   --host A            bind address        (default 127.0.0.1)
 //   --port N            bind port, 0 = ephemeral (default 8080)
-//   --workers N         gateway route-handler threads (default 2)
-//   --engines N         pooled engines / dispatch workers (default 2)
+//   --engines N         pooled engines / dispatch workers, and the cap on
+//                       open sessions (default 2)
 //   --token TOK=TENANT  bearer token mapping, repeatable; a bare TOK maps
 //                       to the default tenant. Named tenants are
 //                       registered automatically (weight 1, max_queue 64,
@@ -92,7 +92,7 @@ sne::ecnn::QuantizedNetwork demo_net() {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--host A] [--port N] [--workers N] [--engines N]"
+            << " [--host A] [--port N] [--engines N]"
                " [--token TOK[=TENANT]]... [--model NAME=PATH]..."
                " [--demo-checkpoint PATH] [--allow-anonymous]\n";
   return 2;
@@ -122,8 +122,6 @@ int main(int argc, char** argv) {
       gc.host = value();
     } else if (arg == "--port") {
       gc.port = static_cast<std::uint16_t>(std::atoi(value()));
-    } else if (arg == "--workers") {
-      gc.workers = static_cast<unsigned>(std::atoi(value()));
     } else if (arg == "--engines") {
       engines = static_cast<unsigned>(std::atoi(value()));
     } else if (arg == "--token") {

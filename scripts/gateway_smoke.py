@@ -15,6 +15,9 @@ but the standard library:
      header, and an SNE1 response body (magic + geometry verified),
   4. opens a streaming session, feeds it two chunks (the second via chunked
      transfer-encoding), closes it,
+  4b. with the binary's default 2 engines, opens 2 sessions: a third open
+     answers 503 + Retry-After (no engine free) while /healthz still
+     answers 200; then closes both,
   5. scrapes GET /metrics, writes it to --scrape-out for check_obs.py
      --prom <file> --gateway,
   6. sends SIGTERM and asserts the gateway drains and exits 0.
@@ -163,6 +166,29 @@ def main():
         expect(r.status == 200, "chunked session feed answers 200")
         status, _, _ = exchange("POST", f"/v1/session/{sid}/close")
         expect(status == 200, "session close answers 200")
+
+        # Each open session pins one of the default 2 engines; a third open
+        # is refused at once instead of parking, and the front door stays
+        # live.
+        sids = []
+        for _ in range(2):
+            status, raw, _ = exchange("POST", "/v1/session/open?model=demo",
+                                      headers={**auth, "X-Sne-Horizon": "16"})
+            expect(status == 200, "session opened while engines are free")
+            sids.append(raw.decode())
+        status, _, resp = exchange("POST", "/v1/session/open?model=demo",
+                                   headers={**auth, "X-Sne-Horizon": "16"})
+        expect(status == 503 and resp.getheader("Retry-After") is not None,
+               f"third open answers 503 + Retry-After (got {status})")
+        probe = http.client.HTTPConnection("127.0.0.1", port, timeout=2)
+        probe.request("GET", "/healthz")
+        health = probe.getresponse()
+        expect(health.status == 200 and health.read() == b"ok\n",
+               "/healthz answers 200 with every engine pinned")
+        probe.close()
+        for s in sids:
+            status, _, _ = exchange("POST", f"/v1/session/{s}/close")
+            expect(status == 200, f"session {s} closes")
 
         # Metrics scrape for check_obs.py --gateway.
         status, raw, _ = exchange("GET", "/metrics", body=None, headers={})

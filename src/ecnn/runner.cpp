@@ -48,34 +48,48 @@ std::uint64_t pass_residency_tag(std::uint64_t model_fp,
   return h == 0 ? 1 : h;
 }
 
+PipelinePlan plan_pipeline(const core::SneConfig& hw,
+                           const QuantizedNetwork& net,
+                           std::uint16_t timesteps) {
+  SNE_EXPECTS(!net.layers.empty());
+  if (net.layers.size() > hw.num_slices)
+    throw ConfigError("pipeline mode needs one slice per layer (" +
+                      std::to_string(net.layers.size()) + " layers, " +
+                      std::to_string(hw.num_slices) + " slices)");
+  Mapper mapper(hw);
+  PipelinePlan out;
+  for (const QuantizedLayerSpec& layer : net.layers) {
+    LayerPlan plan = mapper.plan(layer, timesteps);
+    if (plan.rounds.size() != 1 || plan.rounds[0].passes.size() != 1)
+      throw ConfigError("layer '" + layer.name +
+                        "' needs multiple passes and cannot run in pipeline "
+                        "mode; use NetworkRunner (time-multiplexed) instead");
+    out.stages.push_back(std::move(plan.rounds[0].passes[0]));
+    out.out_geometry = plan.out_geometry;
+  }
+  return out;
+}
+
+void program_pipeline(core::SneEngine& engine, const PipelinePlan& plan) {
+  for (std::size_t li = 0; li < plan.stages.size(); ++li) {
+    const SlicePass& pass = plan.stages[li];
+    const auto slice = static_cast<std::uint32_t>(li);
+    engine.configure_slice(slice, pass.cfg);
+    for (const auto& [set, codes] : pass.weight_image)
+      for (std::size_t i = 0; i < codes.size(); ++i)
+        engine.slice(slice).weights().write(
+            set, static_cast<std::uint32_t>(i), codes[i]);
+  }
+  engine.set_routes(core::XbarRoutes::pipeline(
+      static_cast<std::uint32_t>(plan.stages.size())));
+}
+
 event::StreamGeometry build_pipeline(core::SneEngine& engine,
                                      const QuantizedNetwork& net,
                                      std::uint16_t timesteps) {
-  SNE_EXPECTS(!net.layers.empty());
-  if (net.layers.size() > engine.config().num_slices)
-    throw ConfigError("pipeline mode needs one slice per layer (" +
-                      std::to_string(net.layers.size()) + " layers, " +
-                      std::to_string(engine.config().num_slices) + " slices)");
-  Mapper mapper(engine.config());
-  event::StreamGeometry out_geometry;
-  for (std::size_t li = 0; li < net.layers.size(); ++li) {
-    const LayerPlan plan = mapper.plan(net.layers[li], timesteps);
-    if (plan.rounds.size() != 1 || plan.rounds[0].passes.size() != 1)
-      throw ConfigError("layer '" + net.layers[li].name +
-                        "' needs multiple passes and cannot run in pipeline "
-                        "mode; use NetworkRunner (time-multiplexed) instead");
-    const SlicePass& pass = plan.rounds[0].passes[0];
-    engine.configure_slice(static_cast<std::uint32_t>(li), pass.cfg);
-    for (const auto& [set, codes] : pass.weight_image)
-      for (std::size_t i = 0; i < codes.size(); ++i)
-        engine.slice(static_cast<std::uint32_t>(li))
-            .weights()
-            .write(set, static_cast<std::uint32_t>(i), codes[i]);
-    out_geometry = plan.out_geometry;
-  }
-  engine.set_routes(core::XbarRoutes::pipeline(
-      static_cast<std::uint32_t>(net.layers.size())));
-  return out_geometry;
+  const PipelinePlan plan = plan_pipeline(engine.config(), net, timesteps);
+  program_pipeline(engine, plan);
+  return plan.out_geometry;
 }
 
 NetworkRunStats NetworkRunner::run(const QuantizedNetwork& net,

@@ -91,11 +91,26 @@ std::uint64_t pass_residency_tag(std::uint64_t model_fp,
                                  std::uint16_t timesteps, std::size_t layer,
                                  std::size_t round, std::size_t pass);
 
-/// Maps a whole network onto one slice per layer and installs the chained
-/// C-XBAR routes (paper III-D.5, pipeline operating mode). Requires every
-/// layer to fit a single pass (single round, single slice); throws
-/// ConfigError otherwise. Returns the output geometry of the last stage.
-/// After this call, engine.run(stream) executes all layers concurrently.
+/// Pipeline operating mode (paper III-D.5) as data: one single-pass slice
+/// program per layer, slice i running layer i.
+struct PipelinePlan {
+  std::vector<SlicePass> stages;
+  event::StreamGeometry out_geometry;  ///< of the last stage
+};
+
+/// Plan step: maps every layer onto one slice without touching an engine.
+/// Requires every layer to fit a single pass (single round, single slice)
+/// and the network to fit the slice count; throws ConfigError otherwise.
+PipelinePlan plan_pipeline(const core::SneConfig& hw,
+                           const QuantizedNetwork& net,
+                           std::uint16_t timesteps);
+
+/// Program step: writes each stage's slice configuration and weights and
+/// installs the chained C-XBAR routes. After this call, engine.run(stream)
+/// executes all layers concurrently.
+void program_pipeline(core::SneEngine& engine, const PipelinePlan& plan);
+
+/// plan_pipeline + program_pipeline; returns the last stage's geometry.
 event::StreamGeometry build_pipeline(core::SneEngine& engine,
                                      const QuantizedNetwork& net,
                                      std::uint16_t timesteps);

@@ -63,22 +63,33 @@ struct GatewayServer::Conn {
   HttpParser parser;
   std::string out;          ///< serialized response bytes pending write
   std::size_t out_off = 0;
-  bool busy = false;        ///< request handed to a worker
+  bool busy = false;        ///< waiting on a ticket
   bool close_after_flush = false;
   Clock::time_point last_activity;
 
   explicit Conn(const HttpLimits& lim) : parser(lim) {}
 };
 
+struct GatewayServer::Inbox {
+  std::mutex m;
+  bool armed = true;
+  int wake_fd = -1;
+  std::vector<Completion> items;
+
+  /// Called by whichever thread settled the ticket.
+  void post(Completion c) {
+    std::lock_guard<std::mutex> lk(m);
+    if (!armed) return;  // the gateway shut down: nobody to answer
+    items.push_back(std::move(c));
+    // Raw write under the lock, so shutdown() cannot close the pipe in
+    // between; a full pipe already means a wake is pending.
+    const char b = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &b, 1);
+  }
+};
+
 GatewayServer::GatewayServer(serve::InferenceServer& server, GatewayConfig cfg)
-    : server_(server),
-      cfg_(std::move(cfg)),
-      // Worst case ~2 outstanding jobs per connection (one routed request
-      // plus one close-sessions batch), so size for that: the IO thread
-      // only ever try_push()es, and headroom makes the fallback paths rare.
-      jobs_(2 * cfg_.max_connections + cfg_.workers + 16) {
-  if (cfg_.workers == 0)
-    throw ConfigError("GatewayConfig::workers must be at least 1");
+    : server_(server), cfg_(std::move(cfg)) {
   if (cfg_.max_connections == 0)
     throw ConfigError("GatewayConfig::max_connections must be at least 1");
   listen_fd_ = listen_tcp(cfg_.host, cfg_.port);
@@ -97,9 +108,9 @@ GatewayServer::GatewayServer(serve::InferenceServer& server, GatewayConfig cfg)
     close_fd(p[1]);
     throw;
   }
+  inbox_ = std::make_shared<Inbox>();
+  inbox_->wake_fd = wake_wr_;
   io_thread_ = std::thread([this] { io_loop(); });
-  for (unsigned i = 0; i < cfg_.workers; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
 }
 
 GatewayServer::~GatewayServer() { shutdown(); }
@@ -111,23 +122,15 @@ void GatewayServer::shutdown() {
   wake();
   // The IO thread reaps idle connections, flushes in-flight responses
   // (force-closing stragglers at drain_timeout_ms) and exits once every
-  // connection is gone and every worker job has been answered.
+  // connection — and with it every session it opened — is gone.
   io_thread_.join();
-  jobs_.close();  // pops drain what was accepted, then workers exit
-  for (auto& w : workers_) w.join();
-  // Defensive sweep: every connection teardown enqueued its sessions for
-  // closing, but close whatever might remain (close_session is idempotent).
-  std::map<std::uint64_t, SessionEntry> leftover;
   {
-    std::lock_guard<std::mutex> slk(sessions_m_);
-    leftover.swap(sessions_);
+    // Tickets still in flight (their connections were force-closed) settle
+    // later on server workers; their callbacks now drop the answer.
+    std::lock_guard<std::mutex> ilk(inbox_->m);
+    inbox_->armed = false;
   }
-  for (auto& [id, e] : leftover) server_.close_session(e.session);
-  {
-    std::lock_guard<std::mutex> stlk(stats_m_);
-    st_.sessions_torn_down += leftover.size();
-    st_.sessions_open_now = 0;
-  }
+  SNE_ASSERT(sessions_.empty());
   close_fd(wake_rd_);
   close_fd(wake_wr_);
   stopped_.store(true, std::memory_order_release);
@@ -145,6 +148,11 @@ void GatewayServer::wake() {
   [[maybe_unused]] const ssize_t n = ::write(wake_wr_, &b, 1);
 }
 
+void GatewayServer::count_dispatch_rejected() {
+  std::lock_guard<std::mutex> lk(stats_m_);
+  ++st_.dispatch_rejected;
+}
+
 // ---------------------------------------------------------------------------
 // IO thread
 // ---------------------------------------------------------------------------
@@ -156,19 +164,6 @@ void GatewayServer::io_loop() {
 
   for (;;) {
     const auto now = Clock::now();
-    // Retry close-session jobs the bounded queue refused earlier. The IO
-    // thread never blocks on jobs_ — a full queue defers to this list so
-    // the event loop keeps accepting, reading, and enforcing deadlines
-    // even while every worker is parked on a slow inference ticket.
-    while (!pending_jobs_.empty()) {
-      jobs_inflight_.fetch_add(1, std::memory_order_acq_rel);
-      if (jobs_.try_push(pending_jobs_.front()) !=
-          serve::BoundedQueue<Job>::PushResult::kAccepted) {
-        jobs_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-        break;
-      }
-      pending_jobs_.erase(pending_jobs_.begin());
-    }
     const bool draining = draining_.load(std::memory_order_acquire);
     if (draining) {
       if (listen_fd_ >= 0) {
@@ -187,9 +182,7 @@ void GatewayServer::io_loop() {
         for (const auto& [id, c] : conns_) all.push_back(id);
         for (const std::uint64_t id : all) teardown(id);
       }
-      if (conns_.empty() && pending_jobs_.empty() &&
-          jobs_inflight_.load(std::memory_order_acquire) == 0)
-        return;  // drained: nothing connected, nothing in flight
+      if (conns_.empty()) return;  // drained: nothing connected
     }
 
     // Build the poll set: wake pipe, listener, then one entry per
@@ -221,9 +214,9 @@ void GatewayServer::io_loop() {
     }
     ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
 
-    // Wake pipe: drain it, then flush worker completions onto their
-    // connections (a completion for a torn-down connection is dropped —
-    // the server side already accounted the request).
+    // Wake pipe: drain it, then flush settled tickets' responses onto
+    // their connections (a completion for a torn-down connection is
+    // dropped — the server side already accounted the request).
     if (fds[0].revents & POLLIN) {
       char buf[256];
       while (::read(wake_rd_, buf, sizeof buf) > 0) {
@@ -231,20 +224,13 @@ void GatewayServer::io_loop() {
     }
     std::vector<Completion> done;
     {
-      std::lock_guard<std::mutex> lk(completions_m_);
-      done.swap(completions_);
+      std::lock_guard<std::mutex> lk(inbox_->m);
+      done.swap(inbox_->items);
     }
     for (Completion& comp : done) {
       const auto it = conns_.find(comp.conn_id);
-      if (it == conns_.end()) {
-        // The connection died while its request ran on a worker. If that
-        // request opened a session, it registered after teardown's sweep —
-        // sweep again now so no session lingers with a dead owner. (The
-        // worker inserts into sessions_ before pushing the completion, so
-        // seeing the completion means seeing the registration.)
-        reap_conn_sessions(comp.conn_id);
-        continue;
-      }
+      if (it == conns_.end()) continue;
+      if (comp.dispatch_rejected) count_dispatch_rejected();
       it->second->busy = false;
       start_response(*it->second, comp.resp);  // may tear the conn down
     }
@@ -472,28 +458,23 @@ void GatewayServer::start_response(Conn& c, const HttpResponse& resp) {
 
 void GatewayServer::dispatch(Conn& c) {
   c.last_activity = Clock::now();
-  Job j;
-  j.conn_id = c.id;
-  j.req = c.parser.request();
-  jobs_inflight_.fetch_add(1, std::memory_order_acq_rel);
-  const auto res = jobs_.try_push(j);  // never block the event loop
-  if (res == serve::BoundedQueue<Job>::PushResult::kAccepted) {
-    c.busy = true;
-    return;
+  std::optional<HttpResponse> resp;
+  try {
+    resp = route(c.id, c.parser.request());
+  } catch (const std::exception& e) {
+    // Route handlers map the expected taxonomy themselves; anything that
+    // still escapes (FaultError from a chaos site, a contract violation) is
+    // a 500 — never a crash past the connection handler.
+    resp = error_response(500, e.what());
+    resp->close = true;
+  } catch (...) {
+    resp = error_response(500, "unexpected error");
+    resp->close = true;
   }
-  jobs_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  if (res == serve::BoundedQueue<Job>::PushResult::kFull) {
-    // Every worker is busy and the queue is at capacity: overload, answered
-    // with the same well-formed 503 + Retry-After as the other shed paths.
-    {
-      std::lock_guard<std::mutex> lk(stats_m_);
-      ++st_.dispatch_rejected;
-    }
-    HttpResponse r = error_response(503, "gateway worker queue full");
-    r.close = true;
-    start_response(c, r);  // may tear the connection down
-  }
-  // kClosed: shutdown already ran; the drain pass closes the connection.
+  if (resp)
+    start_response(c, *resp);  // may tear the connection down
+  else
+    c.busy = true;  // a ticket callback answers through the inbox
 }
 
 void GatewayServer::teardown(std::uint64_t conn_id) {
@@ -512,67 +493,61 @@ void GatewayServer::reap_conn_sessions(std::uint64_t conn_id) {
   // The half-close fix: sessions this connection opened are closed *now*
   // (through InferenceServer::close_session, freeing the engine lease and
   // the tenant's quota slot) instead of idling until heartbeat expiry.
-  // Closing joins the session worker, so it runs on a gateway worker.
-  std::vector<std::shared_ptr<serve::StreamingSession>> owned;
-  {
-    std::lock_guard<std::mutex> lk(sessions_m_);
-    for (auto sit = sessions_.begin(); sit != sessions_.end();) {
-      if (sit->second.owner_conn == conn_id) {
-        owned.push_back(std::move(sit->second.session));
-        sit = sessions_.erase(sit);
-      } else {
-        ++sit;
-      }
+  std::uint64_t reaped = 0;
+  for (auto sit = sessions_.begin(); sit != sessions_.end();) {
+    if (sit->second.owner_conn == conn_id) {
+      server_.close_session(sit->second.session);
+      sit = sessions_.erase(sit);
+      ++reaped;
+    } else {
+      ++sit;
     }
   }
-  if (owned.empty()) return;
-  Job j;
-  j.conn_id = conn_id;
-  j.close_sessions = std::move(owned);
-  jobs_inflight_.fetch_add(1, std::memory_order_acq_rel);
-  if (jobs_.try_push(j) != serve::BoundedQueue<Job>::PushResult::kAccepted) {
-    jobs_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    // Full (or closing): park it — io_loop retries every iteration, and a
-    // session close must never be dropped (it frees an engine lease).
-    pending_jobs_.push_back(std::move(j));
-  }
+  if (reaped == 0) return;
+  std::lock_guard<std::mutex> lk(stats_m_);
+  st_.sessions_torn_down += reaped;
+  st_.sessions_open_now -= std::min(st_.sessions_open_now, reaped);
 }
 
 // ---------------------------------------------------------------------------
-// Worker threads: route handlers
+// Route handlers (IO thread) and ticket completions
 // ---------------------------------------------------------------------------
 
-void GatewayServer::worker_loop() {
-  for (;;) {
-    std::optional<Job> job = jobs_.pop();
-    if (!job) return;  // queue closed and drained
-    if (!job->close_sessions.empty()) {
-      for (const auto& s : job->close_sessions) server_.close_session(s);
-      std::lock_guard<std::mutex> lk(stats_m_);
-      st_.sessions_torn_down += job->close_sessions.size();
-      st_.sessions_open_now -=
-          std::min<std::uint64_t>(st_.sessions_open_now,
-                                  job->close_sessions.size());
-    } else {
-      HttpResponse resp;
-      try {
-        resp = route(job->conn_id, job->req);
-      } catch (const std::exception& e) {
-        // Route handlers map the expected taxonomy themselves; anything
-        // that still escapes (FaultError from a chaos site, a contract
-        // violation) is a 500 — never a crash past the connection handler.
-        resp = error_response(500, e.what());
-        resp.close = true;
-      } catch (...) {
-        resp = error_response(500, "unexpected error");
-        resp.close = true;
-      }
-      std::lock_guard<std::mutex> lk(completions_m_);
-      completions_.push_back(Completion{job->conn_id, std::move(resp)});
-    }
-    jobs_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    wake();
+void GatewayServer::answer_when_settled(std::uint64_t conn_id,
+                                        const serve::Ticket& ticket) {
+  ticket.on_settled([inbox = inbox_, conn_id](const serve::Ticket& t) {
+    inbox->post(settled_response(conn_id, t));
+  });
+}
+
+GatewayServer::Completion GatewayServer::settled_response(
+    std::uint64_t conn_id, const serve::Ticket& ticket) {
+  Completion c;
+  c.conn_id = conn_id;
+  try {
+    c.resp = stream_response(ticket.wait());
+  } catch (const serve::SessionClosed& e) {
+    c.resp = error_response(410, e.what());
+  } catch (const serve::DeadlineExceeded& e) {
+    c.resp = error_response(504, e.what());
+  } catch (const serve::ChunkError& e) {
+    c.resp = error_response(500, e.what());
+  } catch (const serve::DispatchRefused& e) {
+    c.resp = error_response(503, e.what());
+    c.dispatch_rejected = true;
+  } catch (const serve::TenantOverload& e) {
+    c.resp = error_response(503, e.what());
+  } catch (const ConfigError& e) {
+    c.resp = error_response(400, e.what());
+  } catch (const std::exception& e) {
+    // FaultError and anything else unexpected.
+    c.resp = error_response(500, e.what());
+    c.resp.close = true;
+  } catch (...) {
+    c.resp = error_response(500, "unexpected error");
+    c.resp.close = true;
   }
+  return c;
 }
 
 bool GatewayServer::authenticate(const HttpRequest& req, std::string& tenant,
@@ -605,8 +580,8 @@ bool GatewayServer::authenticate(const HttpRequest& req, std::string& tenant,
   return true;
 }
 
-HttpResponse GatewayServer::route(std::uint64_t conn_id,
-                                  const HttpRequest& req) {
+std::optional<HttpResponse> GatewayServer::route(std::uint64_t conn_id,
+                                                 const HttpRequest& req) {
   if (req.path == "/healthz") {
     if (req.method != "GET") return error_response(405, "GET only");
     HttpResponse r;
@@ -630,7 +605,7 @@ HttpResponse GatewayServer::route(std::uint64_t conn_id,
 
   if (req.path == "/v1/infer") {
     if (req.method != "POST") return error_response(405, "POST only");
-    return handle_infer(req, tenant);
+    return handle_infer(conn_id, req, tenant);
   }
   if (req.path == "/v1/session/open") {
     if (req.method != "POST") return error_response(405, "POST only");
@@ -646,7 +621,7 @@ HttpResponse GatewayServer::route(std::uint64_t conn_id,
     const std::string verb = rest.substr(slash + 1);
     if (verb == "feed") {
       if (req.method != "POST") return error_response(405, "POST only");
-      return handle_session_feed(id, req, tenant);
+      return handle_session_feed(conn_id, id, req, tenant);
     }
     if (verb == "close") {
       if (req.method != "POST") return error_response(405, "POST only");
@@ -668,8 +643,8 @@ HttpResponse GatewayServer::handle_metrics() {
   return r;
 }
 
-HttpResponse GatewayServer::handle_infer(const HttpRequest& req,
-                                         const std::string& tenant) {
+std::optional<HttpResponse> GatewayServer::handle_infer(
+    std::uint64_t conn_id, const HttpRequest& req, const std::string& tenant) {
   const auto model = req.query_param("model");
   if (!model || model->empty())
     return error_response(400, "missing 'model' query parameter");
@@ -689,17 +664,16 @@ HttpResponse GatewayServer::handle_infer(const HttpRequest& req,
         event::decode_stream(req.body.data(), req.body.size(), "request body");
     std::optional<serve::Ticket> ticket =
         server_.try_submit(*model, std::move(input), ro);
-    if (!ticket)
+    if (!ticket) {
+      count_dispatch_rejected();
       return error_response(503, "tenant queue full");
-    return stream_response(ticket->wait());
-  } catch (const serve::DeadlineExceeded& e) {
-    return error_response(504, e.what());
-  } catch (const serve::TenantOverload& e) {
-    return error_response(503, e.what());
+    }
+    answer_when_settled(conn_id, *ticket);
+    return std::nullopt;
   } catch (const ConfigError& e) {
     return error_response(400, e.what());
   }
-  // FaultError and anything else unexpected become the worker's 500.
+  // FaultError and anything else unexpected become dispatch()'s 500.
 }
 
 HttpResponse GatewayServer::handle_session_open(std::uint64_t conn_id,
@@ -730,17 +704,16 @@ HttpResponse GatewayServer::handle_session_open(std::uint64_t conn_id,
   std::shared_ptr<serve::StreamingSession> session;
   try {
     session = server_.open_session(*model, std::move(so));
+  } catch (const serve::DispatchRefused& e) {
+    count_dispatch_rejected();
+    return error_response(503, e.what());
   } catch (const serve::TenantOverload& e) {
     return error_response(503, e.what());
   } catch (const ConfigError& e) {
     return error_response(400, e.what());
   }
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lk(sessions_m_);
-    id = next_session_id_++;
-    sessions_.emplace(id, SessionEntry{session, tenant, conn_id});
-  }
+  const std::uint64_t id = next_session_id_++;
+  sessions_.emplace(id, SessionEntry{session, tenant, conn_id});
   {
     std::lock_guard<std::mutex> lk(stats_m_);
     ++st_.sessions_opened;
@@ -751,19 +724,14 @@ HttpResponse GatewayServer::handle_session_open(std::uint64_t conn_id,
   return r;
 }
 
-HttpResponse GatewayServer::handle_session_feed(std::uint64_t id,
-                                                const HttpRequest& req,
-                                                const std::string& tenant) {
-  std::shared_ptr<serve::StreamingSession> session;
-  {
-    std::lock_guard<std::mutex> lk(sessions_m_);
-    const auto it = sessions_.find(id);
-    if (it == sessions_.end())
-      return error_response(404, "unknown session");
-    if (it->second.tenant != tenant)
-      return error_response(403, "session belongs to another tenant");
-    session = it->second.session;
-  }
+std::optional<HttpResponse> GatewayServer::handle_session_feed(
+    std::uint64_t conn_id, std::uint64_t id, const HttpRequest& req,
+    const std::string& tenant) {
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end()) return error_response(404, "unknown session");
+  if (it->second.tenant != tenant)
+    return error_response(403, "session belongs to another tenant");
+  const std::shared_ptr<serve::StreamingSession> session = it->second.session;
   std::optional<Clock::time_point> deadline;
   if (const std::string* t = req.header("x-sne-timeout-ms")) {
     double ms = 0.0;
@@ -774,16 +742,10 @@ HttpResponse GatewayServer::handle_session_feed(std::uint64_t id,
   try {
     event::EventStream chunk =
         event::decode_stream(req.body.data(), req.body.size(), "request body");
-    serve::Ticket t = session->feed(std::move(chunk), deadline);
-    return stream_response(t.wait());
+    answer_when_settled(conn_id, session->feed(std::move(chunk), deadline));
+    return std::nullopt;
   } catch (const serve::SessionClosed& e) {
     return error_response(410, e.what());
-  } catch (const serve::DeadlineExceeded& e) {
-    return error_response(504, e.what());
-  } catch (const serve::ChunkError& e) {
-    return error_response(500, e.what());
-  } catch (const serve::TenantOverload& e) {
-    return error_response(503, e.what());
   } catch (const ConfigError& e) {
     return error_response(400, e.what());
   }
@@ -791,18 +753,12 @@ HttpResponse GatewayServer::handle_session_feed(std::uint64_t id,
 
 HttpResponse GatewayServer::handle_session_close(std::uint64_t id,
                                                  const std::string& tenant) {
-  std::shared_ptr<serve::StreamingSession> session;
-  {
-    std::lock_guard<std::mutex> lk(sessions_m_);
-    const auto it = sessions_.find(id);
-    if (it == sessions_.end())
-      return error_response(404, "unknown session");
-    if (it->second.tenant != tenant)
-      return error_response(403, "session belongs to another tenant");
-    session = std::move(it->second.session);
-    sessions_.erase(it);
-  }
-  server_.close_session(session);
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end()) return error_response(404, "unknown session");
+  if (it->second.tenant != tenant)
+    return error_response(403, "session belongs to another tenant");
+  server_.close_session(it->second.session);
+  sessions_.erase(it);
   {
     std::lock_guard<std::mutex> lk(stats_m_);
     ++st_.sessions_closed;

@@ -7,12 +7,15 @@
 //
 // Threading: one IO thread owns the listening socket and every connection
 // fd — it accepts, polls, reads request bytes into per-connection
-// HttpParsers, and writes serialized responses back (all nonblocking).
-// Complete requests are handed to a small worker pool over a bounded queue;
-// workers run the route handlers (which block on InferenceServer tickets)
-// and push finished responses onto a completion list, waking the IO thread
-// through a self-pipe. A connection with a request in flight is still
-// polled (events = 0) so a client hang-up is noticed promptly.
+// HttpParsers, runs the route handlers, and writes serialized responses
+// back (all nonblocking). No handler blocks: /healthz, /metrics, auth,
+// session open and close answer at once (opening a session plans and pins
+// an engine without simulating), while /v1/infer and session feeds submit
+// to the InferenceServer and register a Ticket::on_settled callback. The
+// dispatch worker that settles the ticket builds the HTTP response (SNE1
+// encode included), posts it to the gateway's completion inbox and wakes
+// the IO thread through a self-pipe. A connection with a request in flight
+// is still polled (events = 0) so a client hang-up is noticed promptly.
 //
 // Endpoints:
 //   GET  /healthz                  liveness ("ok"); unauthenticated
@@ -42,6 +45,9 @@
 //   DeadlineExceeded         504   X-Sne-Timeout-Ms budget burned
 //   TenantOverload           503 + Retry-After (breaker open, session quota)
 //   try_submit queue-full    503 + Retry-After
+//   DispatchRefused          503 + Retry-After (session FIFO full, chunk
+//                                  refused by a full tenant queue, every
+//                                  engine pinned at session open)
 //   SessionClosed            410
 //   unknown model / session  404   (ConfigError from resolve also 400)
 //   ChunkError / FaultError  500
@@ -53,8 +59,9 @@
 // keep-alive reaping, bounded request bodies, and graceful drain shutdown:
 // shutdown() stops accepting, lets in-flight requests flush their
 // responses (Connection: close forced), force-closes stragglers at
-// drain_timeout_ms, then joins workers and closes surviving gateway
-// sessions. Sessions are bound to the connection that opened them — a
+// drain_timeout_ms (closing the sessions each connection opened), then
+// disarms the completion inbox (a ticket that settles later drops its
+// response). Sessions are bound to the connection that opened them — a
 // client vanishing mid-session tears its sessions down through
 // InferenceServer::close_session immediately (the half-close fix) instead
 // of waiting for heartbeat expiry.
@@ -66,12 +73,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/http.h"
-#include "serve/bounded_queue.h"
 #include "serve/server.h"
 
 namespace sne::net {
@@ -79,7 +86,6 @@ namespace sne::net {
 struct GatewayConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
-  unsigned workers = 2;    ///< route-handler threads (block on tickets)
   /// Accept backpressure: connections past this answer 503 + Retry-After.
   std::size_t max_connections = 64;
   HttpLimits limits;
@@ -107,7 +113,9 @@ struct GatewayStats {
   std::uint64_t peak_connections = 0;
   std::uint64_t accept_rejected = 0;    ///< connection cap 503s
   std::uint64_t accept_faults = 0;      ///< net.accept injections torn
-  std::uint64_t dispatch_rejected = 0;  ///< worker-queue-full 503s
+  /// 503s answered because the server refused dispatch: tenant queue full,
+  /// session chunk FIFO full, or no engine free for a new session.
+  std::uint64_t dispatch_rejected = 0;
   std::uint64_t requests = 0;           ///< complete requests parsed
   std::uint64_t responses_2xx = 0;
   std::uint64_t responses_3xx = 0;
@@ -129,7 +137,7 @@ struct GatewayStats {
 
 class GatewayServer {
  public:
-  /// Binds, listens and starts the IO thread + workers; throws NetError /
+  /// Binds, listens and starts the IO thread; throws NetError /
   /// ConfigError on failure. The server reference is borrowed and must
   /// outlive the gateway.
   GatewayServer(serve::InferenceServer& server, GatewayConfig cfg);
@@ -150,18 +158,16 @@ class GatewayServer {
 
  private:
   struct Conn;
-  /// A worker job: either one complete request to route, or a batch of
-  /// sessions to close on behalf of a torn-down connection (session close
-  /// joins a thread — never run it on the IO thread).
-  struct Job {
-    std::uint64_t conn_id = 0;
-    HttpRequest req;
-    std::vector<std::shared_ptr<serve::StreamingSession>> close_sessions;
-  };
+  /// A finished response for a connection, produced by a ticket callback.
   struct Completion {
     std::uint64_t conn_id = 0;
     HttpResponse resp;
+    bool dispatch_rejected = false;  ///< a DispatchRefused 503
   };
+  /// Lock-guarded completion list shared with every pending ticket
+  /// callback; shutdown() disarms it, so a ticket that settles after the
+  /// gateway is gone drops its response instead of touching freed memory.
+  struct Inbox;
   struct SessionEntry {
     std::shared_ptr<serve::StreamingSession> session;
     std::string tenant;
@@ -169,39 +175,48 @@ class GatewayServer {
   };
 
   void io_loop();
-  void worker_loop();
   void accept_ready();
   void conn_readable(Conn& c);
   void conn_writable(Conn& c);
-  /// Dispatches a completed request or answers a parse error. Like every
+  /// Routes a completed request or answers a parse error. Like every
   /// method below that writes, the connection may be gone afterwards.
   void after_parse(Conn& c, HttpParser::Status st);
   /// The connection's current IO deadline (read/write/idle phase), or
-  /// nullopt while a worker owns the request.
+  /// nullopt while a ticket owns the request.
   std::optional<std::chrono::steady_clock::time_point> conn_deadline(
       const Conn& c) const;
-  /// Closes the fd, erases the connection, and hands its sessions to a
-  /// worker for closing. Never throws.
+  /// Closes the fd, erases the connection, and closes its sessions.
+  /// Never throws.
   void teardown(std::uint64_t conn_id);
-  /// Sweeps sessions_ for entries owned by `conn_id` and hands them to a
-  /// worker for closing (deferred to pending_jobs_ if the queue is full).
-  /// IO thread only.
+  /// Closes the sessions `conn_id` opened (never blocks).
   void reap_conn_sessions(std::uint64_t conn_id);
   void dispatch(Conn& c);
   /// Serializes `resp` onto the connection's write buffer (forcing close
   /// while draining) and starts flushing.
   void start_response(Conn& c, const HttpResponse& resp);
   void wake();
+  /// Answers `conn_id` once `ticket` settles (via the inbox).
+  void answer_when_settled(std::uint64_t conn_id, const serve::Ticket& ticket);
+  /// The HTTP answer for a settled ticket. Runs on the settling thread, so
+  /// it touches no gateway state.
+  static Completion settled_response(std::uint64_t conn_id,
+                                     const serve::Ticket& ticket);
+  void count_dispatch_rejected();
 
-  // Route handlers (worker threads).
-  HttpResponse route(std::uint64_t conn_id, const HttpRequest& req);
+  // Route handlers (IO thread). nullopt = answered later by a ticket.
+  std::optional<HttpResponse> route(std::uint64_t conn_id,
+                                    const HttpRequest& req);
   HttpResponse handle_metrics();
-  HttpResponse handle_infer(const HttpRequest& req, const std::string& tenant);
+  std::optional<HttpResponse> handle_infer(std::uint64_t conn_id,
+                                           const HttpRequest& req,
+                                           const std::string& tenant);
   HttpResponse handle_session_open(std::uint64_t conn_id,
                                    const HttpRequest& req,
                                    const std::string& tenant);
-  HttpResponse handle_session_feed(std::uint64_t id, const HttpRequest& req,
-                                   const std::string& tenant);
+  std::optional<HttpResponse> handle_session_feed(std::uint64_t conn_id,
+                                                  std::uint64_t id,
+                                                  const HttpRequest& req,
+                                                  const std::string& tenant);
   HttpResponse handle_session_close(std::uint64_t id,
                                     const std::string& tenant);
   /// Resolves the request's tenant (Authorization: Bearer). False = `resp`
@@ -213,28 +228,19 @@ class GatewayServer {
   GatewayConfig cfg_;
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
-  int wake_rd_ = -1;  ///< self-pipe: workers nudge the IO poll loop
+  int wake_rd_ = -1;  ///< self-pipe: completions and shutdown nudge the poll
   int wake_wr_ = -1;
 
   std::thread io_thread_;
-  std::vector<std::thread> workers_;
-  serve::BoundedQueue<Job> jobs_;
-  /// Close-session jobs the bounded queue refused; retried every io_loop
-  /// iteration. IO-thread-owned — the event loop never blocks on jobs_.
-  std::vector<Job> pending_jobs_;
-  std::atomic<std::uint64_t> jobs_inflight_{0};
+  std::shared_ptr<Inbox> inbox_;
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopped_{false};
   std::mutex shutdown_m_;  ///< serializes shutdown() callers
 
-  std::mutex completions_m_;
-  std::vector<Completion> completions_;
-
-  // IO-thread-owned connection table (no lock: only io_loop touches it).
+  // IO-thread-owned state (no lock: only io_loop touches it, and
+  // shutdown() after joining the IO thread).
   std::map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::uint64_t next_conn_id_ = 1;
-
-  std::mutex sessions_m_;
   std::map<std::uint64_t, SessionEntry> sessions_;
   std::uint64_t next_session_id_ = 1;
 

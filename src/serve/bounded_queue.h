@@ -1,10 +1,9 @@
-// Bounded blocking queue: the admission and inter-stage channel of the
-// serving runtime.
+// Bounded blocking queue: the inter-stage channel of PipelineDeployment.
 //
 // Semantics chosen for serving: push() blocks while full (backpressure
-// propagates to the submitter / upstream pipeline stage), try_push() rejects
-// instead, close() wakes everything — subsequent pushes fail, pops keep
-// draining what was accepted so no admitted request is dropped on shutdown.
+// propagates to the submitter / upstream pipeline stage), close() wakes
+// everything — subsequent pushes fail, pops keep draining what was accepted
+// so no admitted request is dropped on shutdown.
 #pragma once
 
 #include <chrono>
@@ -12,7 +11,6 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "common/contracts.h"
@@ -38,58 +36,13 @@ class BoundedQueue {
     return true;
   }
 
-  enum class PushResult { kAccepted, kFull, kClosed };
-
-  /// Timed push, the admission mirror of pop_for(): blocks while full for at
-  /// most `timeout`, then gives up with kFull instead of sleeping past the
-  /// caller's own deadline (a blocking submit that outlives its request's
-  /// budget helps nobody). The item is untouched unless accepted.
-  PushResult push_for(std::chrono::nanoseconds timeout, T& item) {
-    std::unique_lock<std::mutex> lk(m_);
-    if (!not_full_.wait_for(lk, timeout,
-                            [this] { return closed_ || q_.size() < cap_; }))
-      return PushResult::kFull;
-    if (closed_) return PushResult::kClosed;
-    q_.push_back(std::move(item));
-    if (q_.size() > peak_) peak_ = q_.size();
-    lk.unlock();
-    not_empty_.notify_one();
-    return PushResult::kAccepted;
-  }
-
-  /// Non-blocking admission; the item is untouched unless accepted. kFull
-  /// and kClosed are distinguished so callers can tell transient overload
-  /// (retry later) from shutdown (stop submitting).
-  PushResult try_push(T& item) {
-    std::unique_lock<std::mutex> lk(m_);
-    if (closed_) return PushResult::kClosed;
-    if (q_.size() >= cap_) return PushResult::kFull;
-    q_.push_back(std::move(item));
-    if (q_.size() > peak_) peak_ = q_.size();
-    lk.unlock();
-    not_empty_.notify_one();
-    return PushResult::kAccepted;
-  }
-
-  /// Blocks while empty; returns nullopt once closed *and* drained.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lk(m_);
-    not_empty_.wait(lk, [this] { return closed_ || !q_.empty(); });
-    if (q_.empty()) return std::nullopt;
-    T item = std::move(q_.front());
-    q_.pop_front();
-    lk.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
   enum class PopStatus { kItem, kTimeout, kClosed };
 
   /// Timed pop: the dispatch-loop heartbeat. kItem moves the head into
   /// `out`; kTimeout means nothing arrived within `timeout` (the caller
   /// gets control back for deadline housekeeping / watchdog checks instead
   /// of parking on the condition variable forever); kClosed means closed
-  /// *and* drained, like pop()'s nullopt.
+  /// *and* drained.
   PopStatus pop_for(std::chrono::nanoseconds timeout, T& out) {
     std::unique_lock<std::mutex> lk(m_);
     if (!not_empty_.wait_for(lk, timeout,

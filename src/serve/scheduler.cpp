@@ -134,15 +134,6 @@ void TenantCore::note_failed(bool expired, double latency_ms) {
   }
 }
 
-void TenantCore::note_chunk(bool success, std::uint64_t cycles) {
-  if (success) {
-    ++chunks_completed_;
-    total_sim_cycles_ += cycles;
-  } else {
-    ++chunks_failed_;
-  }
-}
-
 void TenantCore::snapshot(TenantStats& out) const {
   out.submitted = submitted_;
   out.completed = completed_;

@@ -98,6 +98,15 @@ class TenantOverload : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
+/// The overload answer for work the server had no room to dispatch: a
+/// session chunk its tenant's full queue refused, a full session chunk
+/// FIFO, or a session open that found every engine already pinned. The
+/// gateway counts these 503s as GatewayStats::dispatch_rejected.
+class DispatchRefused : public TenantOverload {
+ public:
+  using TenantOverload::TenantOverload;
+};
+
 /// Per-tenant SLO ledger snapshot (ServerStats::tenants).
 struct TenantStats {
   std::string name;
@@ -180,7 +189,11 @@ class TenantCore {
     ++sessions_closed_;
     if (sessions_open_ > 0) --sessions_open_;
   }
-  void note_chunk(bool success, std::uint64_t cycles);
+  /// Session-chunk sub-count (cycles and latency land through
+  /// note_completed/note_failed like any request's).
+  void note_chunk(bool success) {
+    ++(success ? chunks_completed_ : chunks_failed_);
+  }
   std::uint64_t sessions_open() const { return sessions_open_; }
 
   /// Per-tenant drain invariant: everything admitted has been answered.
@@ -446,10 +459,9 @@ class FairScheduler {
     std::lock_guard<std::mutex> lk(m_);
     if (TenantState* t = find_locked(tenant)) t->core.note_session_closed();
   }
-  void note_chunk(const std::string& tenant, bool success,
-                  std::uint64_t cycles) {
+  void note_chunk(const std::string& tenant, bool success) {
     std::lock_guard<std::mutex> lk(m_);
-    if (TenantState* t = find_locked(tenant)) t->core.note_chunk(success, cycles);
+    if (TenantState* t = find_locked(tenant)) t->core.note_chunk(success);
   }
   /// Open-session count (session-quota checks) — 0 for unknown tenants.
   std::uint64_t sessions_open(const std::string& tenant) const {

@@ -52,14 +52,18 @@ InferenceServer::InferenceServer(const ModelRegistry& registry,
 
 InferenceServer::~InferenceServer() {
   // Close streaming sessions first: their engine leases must return to the
-  // pool (a member destroyed after this body) and their on_close hooks still
-  // reference the scheduler.
+  // pool (a member destroyed after this body). Closing is graceful — a busy
+  // session still runs its admitted chunks on the workers — so wait for
+  // each to finish while the scheduler still takes its re-pushes.
   std::vector<std::shared_ptr<StreamingSession>> sessions;
   {
     std::lock_guard<std::mutex> lk(sessions_m_);
     sessions.swap(sessions_);
   }
   for (const auto& s : sessions) s->close();
+  for (const auto& s : sessions)
+    while (!s->closed())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
   // Stop admission; workers drain everything already accepted (a fulfilled
   // ticket for every admitted request), then exit on the closed scheduler.
   sched_.close();
@@ -76,9 +80,10 @@ void InferenceServer::evict_tenant(const std::string& name) {
     throw ConfigError("the default tenant cannot be evicted");
   if (!sched_.has_tenant(name))
     throw ConfigError("unknown tenant '" + name + "'");
-  // Close the tenant's sessions first: their leases return to the pool and
-  // their queued chunks fail before the queue purge below, so nothing of the
-  // tenant keeps running once evict_tenant returns (in-flight requests
+  // Close the tenant's sessions first (idle ones release their leases at
+  // once), then purge the tenant's queue: dropped session chunks fail, and
+  // the sessions' waiting chunks fail on the refused re-push, so nothing of
+  // the tenant is queued once evict_tenant returns (requests and chunks
   // already popped by a worker still finish — their tickets were promised).
   std::vector<std::shared_ptr<StreamingSession>> to_close;
   {
@@ -99,19 +104,13 @@ std::shared_ptr<StreamingSession> InferenceServer::open_session(
     throw TenantOverload("session quota exhausted for tenant '" +
                          sopts.tenant + "' (max_sessions)");
   const std::string tenant = sopts.tenant;
-  StreamingSession::Hooks hooks;
-  hooks.on_chunk = [this, tenant](bool success, std::uint64_t cycles) {
-    sched_.note_chunk(tenant, success, cycles);
-  };
-  hooks.on_close = [this, tenant] { sched_.note_session_closed(tenant); };
   std::shared_ptr<StreamingSession> session;
   try {
     session = std::make_shared<StreamingSession>(pool_, resolved.model,
-                                                 std::move(sopts),
-                                                 std::move(hooks));
+                                                 std::move(sopts), this);
   } catch (...) {
-    // The session never existed; release its quota slot (on_close will
-    // never fire for it).
+    // The session never existed; release its quota slot (it will never
+    // report a close).
     sched_.note_session_closed(tenant);
     throw;
   }
@@ -135,9 +134,34 @@ void InferenceServer::close_session(
     sessions_.erase(std::remove(sessions_.begin(), sessions_.end(), session),
                     sessions_.end());
   }
-  // Off the lock: close() drains queued chunks and joins the session worker,
-  // and its on_close hook takes the scheduler lock.
+  // Off the lock: finishing takes the scheduler lock.
   session->close();
+}
+
+bool InferenceServer::dispatch_chunk(StreamingSession& session,
+                                     StreamingSession::Chunk& c) {
+  Request req;
+  req.input = std::move(c.input);
+  req.ticket = c.ticket;
+  req.submitted_at = c.submitted_at;
+  req.deadline = c.deadline;
+  req.tenant = session.tenant();
+  req.session = session.shared_from_this();
+  std::exception_ptr refused;
+  try {
+    const Admission a = admit(std::move(req), /*block=*/false);
+    if (a != Admission::kRefused) return a == Admission::kQueued;
+    refused = std::make_exception_ptr(DispatchRefused(
+        "tenant '" + session.tenant() + "' queue full: session chunk refused"));
+  } catch (const ConfigError& e) {
+    // Shut-down server or evicted tenant: the session is on its way out.
+    refused = std::make_exception_ptr(
+        SessionClosed(std::string("session chunk dropped: ") + e.what()));
+  } catch (...) {
+    refused = std::current_exception();
+  }
+  c.ticket->fail(refused, ms_since(c.submitted_at));
+  return false;
 }
 
 TenantPresence InferenceServer::tenant_presence(const std::string& name)
@@ -199,26 +223,24 @@ void InferenceServer::fail_displaced(std::vector<Request> displaced,
     failed_ += displaced.size();
     evicted_ += displaced.size();
   }
-  for (Request& d : displaced)
+  for (Request& d : displaced) {
+    if (d.session) d.session->chunk_done(/*success=*/false);
     d.ticket->fail(
         std::make_exception_ptr(TenantOverload(
             std::string(why) + " (tenant '" + d.tenant + "')")),
         ms_since(d.submitted_at));
+  }
   drained_cv_.notify_all();
 }
 
-Ticket InferenceServer::submit(const std::string& model,
-                               event::EventStream input,
-                               RequestOptions ropts) {
-  Request req = make_request(model, std::move(input), ropts);
-  const Ticket ticket{req.ticket};
+InferenceServer::Admission InferenceServer::admit(Request req, bool block) {
   obs::ScopedCorr corr(req.ticket->id);
-  obs::ScopedSpan span("serve.submit", obs::trace_key(ropts.tenant));
+  obs::ScopedSpan span("serve.submit", obs::trace_key(req.tenant));
   // Admission chaos site: a FaultError here models a crash in the front
   // door itself — nothing counted, nothing queued, the exception reaches
   // the caller.
   faults::check("serve.server.admit");
-  if (shed_if_expired(req)) return ticket;
+  if (shed_if_expired(req)) return Admission::kAnswered;
   // Count *before* the push: once a request is in a queue it must be
   // covered by submitted_, or drain() could observe completed == submitted
   // while a pushed-but-uncounted request is still in flight.
@@ -230,58 +252,60 @@ Ticket InferenceServer::submit(const std::string& model,
   const int priority = req.priority;
   const auto deadline = req.deadline;
   const auto submitted_at = req.submitted_at;
-  const auto ticket_state = req.ticket;
-  auto out =
-      sched_.push(tenant, std::move(req), priority, deadline, /*block=*/true);
+  const auto ticket = req.ticket;
+  auto out = sched_.push(tenant, std::move(req), priority, deadline, block);
   fail_displaced(std::move(out.displaced),
                  "shed under overload: displaced by a newer request");
-  const auto rollback = [this] {
-    {
-      std::lock_guard<std::mutex> lk(stats_m_);
-      --submitted_;
-    }
-    drained_cv_.notify_all();
-  };
-  switch (out.status) {
-    case FairScheduler<Request>::PushStatus::kAccepted:
-      return ticket;
-    case FairScheduler<Request>::PushStatus::kFull: {
-      // The blocking wait for queue space timed out on the request's own
-      // deadline: shed, exactly like an admission-time expiry.
-      rollback();
-      {
-        std::lock_guard<std::mutex> lk(stats_m_);
-        ++shed_;
-      }
-      sched_.note_shed(tenant);
-      ticket_state->fail(
-          std::make_exception_ptr(DeadlineExceeded(
-              "shed at admission: deadline passed while blocked on tenant "
-              "'" + tenant + "' queue")),
-          ms_since(submitted_at));
-      return ticket;
-    }
-    case FairScheduler<Request>::PushStatus::kRejectFast: {
-      rollback();
-      {
-        std::lock_guard<std::mutex> lk(stats_m_);
+  if (out.status == FairScheduler<Request>::PushStatus::kAccepted)
+    return Admission::kQueued;
+  {
+    std::lock_guard<std::mutex> lk(stats_m_);
+    --submitted_;
+    switch (out.status) {
+      case FairScheduler<Request>::PushStatus::kFull:
+        // Blocking: the wait for queue space timed out on the request's
+        // own deadline — a shed. Non-blocking: genuine overload (the
+        // scheduler booked the tenant-side rejection).
+        ++(block ? shed_ : rejected_);
+        break;
+      case FairScheduler<Request>::PushStatus::kRejectFast:
         ++breaker_rejected_;
-      }
-      ticket_state->fail(
-          std::make_exception_ptr(TenantOverload(
-              "circuit open for tenant '" + tenant +
-              "': rejecting fast until a probe succeeds")),
-          ms_since(submitted_at));
-      return ticket;
+        break;
+      default:
+        break;
     }
+  }
+  drained_cv_.notify_all();
+  switch (out.status) {
+    case FairScheduler<Request>::PushStatus::kFull:
+      if (!block) return Admission::kRefused;
+      sched_.note_shed(tenant);
+      ticket->fail(std::make_exception_ptr(DeadlineExceeded(
+                       "shed at admission: deadline passed while blocked on "
+                       "tenant '" + tenant + "' queue")),
+                   ms_since(submitted_at));
+      return Admission::kAnswered;
+    case FairScheduler<Request>::PushStatus::kRejectFast:
+      ticket->fail(std::make_exception_ptr(TenantOverload(
+                       "circuit open for tenant '" + tenant +
+                       "': rejecting fast until a probe succeeds")),
+                   ms_since(submitted_at));
+      return Admission::kAnswered;
     case FairScheduler<Request>::PushStatus::kClosed:
-      rollback();
+      // A caller error, so retry loops don't spin against a dead server.
       throw ConfigError("submit on a shut-down server");
-    case FairScheduler<Request>::PushStatus::kUnknownTenant:
-      rollback();
+    default:
       throw ConfigError("tenant '" + tenant + "' was evicted");
   }
-  return ticket;  // unreachable
+}
+
+Ticket InferenceServer::submit(const std::string& model,
+                               event::EventStream input,
+                               RequestOptions ropts) {
+  Request req = make_request(model, std::move(input), ropts);
+  const Ticket ticket{req.ticket};
+  admit(std::move(req), /*block=*/true);
+  return ticket;
 }
 
 std::optional<Ticket> InferenceServer::try_submit(const std::string& model,
@@ -289,87 +313,45 @@ std::optional<Ticket> InferenceServer::try_submit(const std::string& model,
                                                   RequestOptions ropts) {
   Request req = make_request(model, std::move(input), ropts);
   const Ticket ticket{req.ticket};
-  obs::ScopedCorr corr(req.ticket->id);
-  obs::ScopedSpan span("serve.submit", obs::trace_key(ropts.tenant));
-  faults::check("serve.server.admit");
-  if (shed_if_expired(req)) return ticket;
-  {
-    std::lock_guard<std::mutex> lk(stats_m_);
-    ++submitted_;
-  }
-  const std::string tenant = req.tenant;
-  const int priority = req.priority;
-  const auto deadline = req.deadline;
-  const auto submitted_at = req.submitted_at;
-  const auto ticket_state = req.ticket;
-  auto out =
-      sched_.push(tenant, std::move(req), priority, deadline, /*block=*/false);
-  fail_displaced(std::move(out.displaced),
-                 "shed under overload: displaced by a newer request");
-  const auto rollback = [this] {
-    {
-      std::lock_guard<std::mutex> lk(stats_m_);
-      --submitted_;
-    }
-    drained_cv_.notify_all();
-  };
-  switch (out.status) {
-    case FairScheduler<Request>::PushStatus::kAccepted:
-      return ticket;
-    case FairScheduler<Request>::PushStatus::kFull: {
-      // Genuine overload: the tenant's quota is exhausted with nothing
-      // sheddable (the scheduler booked the tenant-side rejection).
-      rollback();
-      {
-        std::lock_guard<std::mutex> lk(stats_m_);
-        ++rejected_;
-      }
-      return std::nullopt;
-    }
-    case FairScheduler<Request>::PushStatus::kRejectFast: {
-      rollback();
-      {
-        std::lock_guard<std::mutex> lk(stats_m_);
-        ++breaker_rejected_;
-      }
-      ticket_state->fail(
-          std::make_exception_ptr(TenantOverload(
-              "circuit open for tenant '" + tenant +
-              "': rejecting fast until a probe succeeds")),
-          ms_since(submitted_at));
-      return ticket;
-    }
-    case FairScheduler<Request>::PushStatus::kClosed:
-      rollback();
-      // A closed scheduler is a caller error, reported like submit() so
-      // retry loops don't spin against a dead server.
-      throw ConfigError("submit on a shut-down server");
-    case FairScheduler<Request>::PushStatus::kUnknownTenant:
-      rollback();
-      throw ConfigError("tenant '" + tenant + "' was evicted");
-  }
-  return std::nullopt;  // unreachable
+  if (admit(std::move(req), /*block=*/false) == Admission::kRefused)
+    return std::nullopt;
+  return ticket;
 }
 
 void InferenceServer::worker_loop() {
-  // Timed pop instead of a parked pop(): the tick is only a liveness
-  // heartbeat (nothing deadline-related is checked while idle — expiry is
-  // judged per-request at dispatch), but it keeps the loop structurally
-  // ready for periodic housekeeping and bounds how long shutdown can lag
-  // behind close().
+  // Timed pop instead of a parked pop(): the tick drives the session
+  // heartbeat sweep on an idle server (request deadlines are judged
+  // per-request at dispatch) and bounds how long shutdown can lag behind
+  // close().
   constexpr auto kTick = std::chrono::milliseconds(100);
   for (;;) {
     FairScheduler<Request>::Popped p;
     switch (sched_.pop_for(kTick, p)) {
       case FairScheduler<Request>::PopStatus::kTimeout:
-        continue;
+        break;
       case FairScheduler<Request>::PopStatus::kClosed:
         return;  // closed and drained
       case FairScheduler<Request>::PopStatus::kItem:
         process(p.item, p.tenant, p.probe);
         break;
     }
+    sweep_sessions();
   }
+}
+
+void InferenceServer::sweep_sessions() {
+  constexpr auto kSweepEvery = std::chrono::milliseconds(100);
+  const auto now = std::chrono::steady_clock::now().time_since_epoch().count();
+  auto last = last_sweep_.load(std::memory_order_relaxed);
+  if (now - last < std::chrono::steady_clock::duration(kSweepEvery).count() ||
+      !last_sweep_.compare_exchange_strong(last, now,
+                                           std::memory_order_relaxed))
+    return;  // swept recently, or another worker just won the sweep
+  std::lock_guard<std::mutex> lk(sessions_m_);
+  // closed() checks each session's heartbeat clock first.
+  sessions_.erase(std::remove_if(sessions_.begin(), sessions_.end(),
+                                 [](const auto& s) { return s->closed(); }),
+                  sessions_.end());
 }
 
 void InferenceServer::process(Request& req, const std::string& tenant,
@@ -394,8 +376,13 @@ void InferenceServer::process(Request& req, const std::string& tenant,
     error = std::make_exception_ptr(DeadlineExceeded(
         "expired in queue: deadline passed before dispatch"));
   }
+  if (!error && req.session) {
+    // Session chunk: one attempt on the session's pinned engine — a failed
+    // chunk is the session's to recover (respawn on the next chunk).
+    error = req.session->run_chunk(req.input, result);
+  }
   const std::uint64_t fp = opts_.warm_weights ? req.model_fp : 0;
-  for (unsigned attempt = 0; !error; ++attempt) {
+  for (unsigned attempt = 0; !error && !req.session; ++attempt) {
     try {
       // The lease lives inside the try scope: when the run throws, the
       // poisoned lease destructs (the pool discards the engine and frees its
@@ -425,6 +412,9 @@ void InferenceServer::process(Request& req, const std::string& tenant,
       error = std::current_exception();
     }
   }
+  // A session is idle (or has its next chunk queued) before this chunk
+  // settles: a client that closes on the answer finds the engine free.
+  if (req.session) req.session->chunk_done(!error);
   const double lat_ms = ms_since(req.submitted_at);
   {
     std::lock_guard<std::mutex> lk(stats_m_);

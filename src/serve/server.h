@@ -28,11 +28,20 @@
 // BatchRunner::run_one reference; `completed + failed == submitted` holds
 // globally and per tenant.
 //
-// Streaming: open_session() leases an engine for a long-lived
+// Threading: the `engines` dispatch workers are the only threads that run
+// simulation work. Each pops the next request by DRR and runs it on a
+// pooled engine; submit() and try_submit() only queue, and a caller that
+// must not block takes Ticket::on_settled instead of Ticket::wait().
+//
+// Streaming: open_session() pins an engine for a long-lived
 // StreamingSession (chunked event-stream inference with carried neuron
 // state, heartbeat timeouts, crash recovery via neuron-state snapshots —
-// see serve/session.h). Sessions account to their tenant and close on
-// tenant eviction.
+// see serve/session.h). Its chunks are requests in the session tenant's
+// lane, run by the same dispatch workers on the pinned engine and counted
+// in the same ledgers; at most `engines` sessions are open at once, and
+// one-shot requests never wait for a pinned engine. Sessions close on
+// tenant eviction. A worker also sweeps the open sessions' heartbeat
+// clocks at most every 100 ms.
 //
 // Fault tolerance: requests can carry a deadline (RequestOptions) — expired
 // work is shed at admission or pre-dispatch with a DeadlineExceeded ticket,
@@ -45,6 +54,7 @@
 // `serve.server.admit` site included).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -223,10 +233,12 @@ class InferenceServer {
                                    RequestOptions ropts = {});
 
   /// Opens a streaming session against `model` for `sopts.tenant` (see
-  /// serve/session.h): leases an engine for the session lifetime, programs
-  /// the model in pipeline mode, accounts chunks to the tenant. Throws
-  /// ConfigError (unknown model/tenant, model unfit for pipeline mode) or
-  /// TenantOverload (session quota exhausted).
+  /// serve/session.h): plans the model in pipeline mode and pins an engine
+  /// for the session lifetime without waiting or simulating (the first
+  /// chunk programs it); chunks account to the tenant. Throws ConfigError
+  /// (unknown model/tenant, model unfit for pipeline mode), TenantOverload
+  /// (session quota exhausted) or DispatchRefused (all `engines` engines
+  /// already pinned by open sessions).
   std::shared_ptr<StreamingSession> open_session(const std::string& model,
                                                  SessionOptions sopts = {});
 
@@ -235,8 +247,9 @@ class InferenceServer {
   /// front ends: when a client tears its connection mid-session, the gateway
   /// calls this instead of leaving the session to idle until heartbeat
   /// expiry, so the engine lease and the tenant's session-quota slot free
-  /// promptly. Idempotent (closing an already-closed session is a no-op);
-  /// sessions the server doesn't know are still closed.
+  /// promptly (at once when the session is idle, else when its admitted
+  /// chunks settle). Never blocks; idempotent; sessions the server doesn't
+  /// know are still closed.
   void close_session(const std::shared_ptr<StreamingSession>& session);
 
   /// Never-registered vs active vs evicted — the gateway's 401-vs-403
@@ -255,6 +268,8 @@ class InferenceServer {
   const ModelRegistry& registry() const { return registry_; }
 
  private:
+  friend class StreamingSession;
+
   struct Request {
     ModelRegistry::ModelPtr model;
     std::uint64_t model_fp = 0;  ///< snapshot fingerprint (warm dispatch key)
@@ -264,10 +279,23 @@ class InferenceServer {
     std::optional<std::chrono::steady_clock::time_point> deadline;
     std::string tenant;
     int priority = 0;
+    /// Set for a session chunk: runs on the session's pinned engine.
+    std::shared_ptr<StreamingSession> session;
   };
 
   Request make_request(const std::string& model, event::EventStream input,
                        const RequestOptions& ropts);
+  enum class Admission {
+    kQueued,    ///< in the tenant's lane; a worker will settle the ticket
+    kAnswered,  ///< refused with the ticket failed (shed, breaker open)
+    kRefused,   ///< non-blocking push, quota full: ticket untouched
+  };
+  /// The one admission body (submit, try_submit, session chunks): the
+  /// admission chaos site, the dead-on-arrival shed, the ledger count, the
+  /// tenant-lane push (blocking while full only for `block`) and its
+  /// rollback. kRefused counts `rejected`. Throws ConfigError on a
+  /// shut-down server or an evicted tenant.
+  Admission admit(Request req, bool block);
   /// Sheds `req` at admission when its deadline has already passed: fails
   /// the ticket with DeadlineExceeded and counts `shed` (globally and on
   /// the tenant). Returns whether it shed (the caller then skips the queue
@@ -279,6 +307,13 @@ class InferenceServer {
   void fail_displaced(std::vector<Request> displaced, const char* why);
   void worker_loop();
   void process(Request& req, const std::string& tenant, bool probe);
+  /// Closes idle sessions past their heartbeat budget and prunes closed
+  /// ones; at most one sweep per 100 ms across all workers.
+  void sweep_sessions();
+
+  /// Pushes one session chunk into the tenant's lane (StreamingSession
+  /// calls it). False = refused, with the chunk's ticket already answered.
+  bool dispatch_chunk(StreamingSession& session, StreamingSession::Chunk& c);
 
   const ModelRegistry& registry_;
   core::SneConfig hw_;
@@ -290,6 +325,7 @@ class InferenceServer {
 
   std::mutex sessions_m_;
   std::vector<std::shared_ptr<StreamingSession>> sessions_;
+  std::atomic<std::chrono::steady_clock::rep> last_sweep_{0};
 
   mutable std::mutex stats_m_;
   std::condition_variable drained_cv_;

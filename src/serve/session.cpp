@@ -5,28 +5,27 @@
 #include <utility>
 
 #include "common/fault_injection.h"
-#include "ecnn/runner.h"
 #include "obs/trace.h"
+#include "serve/server.h"
 
 namespace sne::serve {
 
 using detail::ms_since;
 
 namespace {
-/// Bounded chunk queue depth (feed blocks on backpressure).
+/// Chunks a session holds waiting behind the one queued or running.
 constexpr std::size_t kChunkQueue = 8;
 }  // namespace
 
 StreamingSession::StreamingSession(ecnn::EnginePool& pool,
                                    ModelRegistry::ModelPtr model,
-                                   SessionOptions opts, Hooks hooks)
+                                   SessionOptions opts,
+                                   InferenceServer* server)
     : pool_(pool),
-      model_(std::move(model)),
       opts_(std::move(opts)),
-      hooks_(std::move(hooks)),
-      queue_(kChunkQueue),
+      server_(server),
       last_activity_(std::chrono::steady_clock::now()) {
-  SNE_EXPECTS(model_ != nullptr);
+  SNE_EXPECTS(model != nullptr);
   // Chunks are rebased onto the session clock, so the last step's events
   // carry timestamp horizon - 1, which must fit the 8-bit event field.
   if (opts_.horizon_timesteps == 0 ||
@@ -34,11 +33,16 @@ StreamingSession::StreamingSession(ecnn::EnginePool& pool,
     throw ConfigError("session horizon_timesteps must be in [1, " +
                       std::to_string(kMaxHorizonTimesteps) +
                       "] (8-bit event timestamps)");
-  // First spawn happens on the caller: pipeline-mode config errors (multi-
-  // pass layers, too many layers for the slice count) surface at open, not
-  // on the first chunk.
-  ensure_engine();
-  worker_ = std::thread([this] { worker_loop(); });
+  // The plan step runs here so pipeline-mode config errors (multi-pass
+  // layers, too many layers for the slice count) surface at open; the first
+  // chunk programs the engine.
+  plan_ = ecnn::plan_pipeline(pool_.hw(), *model, opts_.horizon_timesteps);
+  std::optional<ecnn::EnginePool::Lease> pinned = pool_.try_acquire_pinned();
+  if (!pinned)
+    throw DispatchRefused(
+        "no engine free for a new session: every engine is pinned by an "
+        "open session");
+  lease_.emplace(std::move(*pinned));
 }
 
 StreamingSession::~StreamingSession() { close(); }
@@ -46,84 +50,70 @@ StreamingSession::~StreamingSession() { close(); }
 Ticket StreamingSession::feed(
     event::EventStream chunk,
     std::optional<std::chrono::steady_clock::time_point> deadline) {
-  ChunkJob job;
-  job.input = std::move(chunk);
-  job.ticket = std::make_shared<detail::TicketState>();
-  job.submitted_at = std::chrono::steady_clock::now();
-  job.deadline = deadline;
-  const Ticket ticket{job.ticket};
+  poll_expiry();
+  Chunk c;
+  c.input = std::move(chunk);
+  c.ticket = std::make_shared<detail::TicketState>();
+  c.submitted_at = std::chrono::steady_clock::now();
+  c.deadline = deadline;
+  const Ticket ticket{c.ticket};
+  const auto submitted_at = c.submitted_at;
+  std::exception_ptr refused;
+  bool start = false;
   {
     std::lock_guard<std::mutex> lk(m_);
-    if (close_requested_ || closed_)
+    if (close_requested_)
       throw SessionClosed(expired_
                               ? "feed on an expired session (heartbeat timeout)"
                               : "feed on a closed session");
-    job.ticket->id = next_chunk_id_++;
-    last_activity_ = job.submitted_at;
-  }
-  // Dead-on-arrival deadline: answered without ever entering the session
-  // (mirrors the server's admission shed).
-  if (job.deadline && job.submitted_at >= *job.deadline) {
-    job.ticket->fail(
-        std::make_exception_ptr(DeadlineExceeded(
-            "chunk shed at feed: deadline already passed")),
-        ms_since(job.submitted_at));
-    return ticket;
-  }
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    ++chunks_submitted_;
-  }
-  const auto rollback = [this] {
-    std::lock_guard<std::mutex> lk(m_);
-    --chunks_submitted_;
-  };
-  if (job.deadline) {
-    // Backpressure bounded by the chunk's own budget: never sleep past it.
-    const auto remaining = *job.deadline - std::chrono::steady_clock::now();
-    const auto pushed = queue_.push_for(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(remaining), job);
-    if (pushed == BoundedQueue<ChunkJob>::PushResult::kFull) {
-      rollback();
-      job.ticket->fail(std::make_exception_ptr(DeadlineExceeded(
-                           "chunk shed: session queue full past deadline")),
-                       ms_since(job.submitted_at));
-      return ticket;
+    c.ticket->id = next_chunk_id_++;
+    last_activity_ = c.submitted_at;
+    // Refusals are answered without entering the session (mirrors the
+    // server's admission shed): not counted in chunks_submitted.
+    if (c.deadline && c.submitted_at >= *c.deadline) {
+      refused = std::make_exception_ptr(
+          DeadlineExceeded("chunk shed at feed: deadline already passed"));
+    } else if (fifo_.size() >= kChunkQueue) {
+      refused = std::make_exception_ptr(DispatchRefused(
+          "session chunk queue full (" + std::to_string(kChunkQueue) +
+          " chunks waiting)"));
+    } else {
+      ++chunks_submitted_;
+      fifo_.push_back(std::move(c));
+      start = !busy_;
+      busy_ = true;
     }
-    if (pushed == BoundedQueue<ChunkJob>::PushResult::kClosed) {
-      rollback();
-      throw SessionClosed("feed raced session close");
-    }
-  } else if (!queue_.push(std::move(job))) {
-    rollback();
-    throw SessionClosed("feed raced session close");
   }
+  if (refused) ticket.state_->fail(refused, ms_since(submitted_at));
+  if (start) pump();
   return ticket;
 }
 
 void StreamingSession::heartbeat() {
+  poll_expiry();
   std::lock_guard<std::mutex> lk(m_);
-  if (close_requested_ || closed_)
-    throw SessionClosed("heartbeat on a closed session");
+  if (close_requested_) throw SessionClosed("heartbeat on a closed session");
   last_activity_ = std::chrono::steady_clock::now();
 }
 
 void StreamingSession::close() {
-  std::lock_guard<std::mutex> close_lk(close_m_);
+  bool fin = false;
   {
     std::lock_guard<std::mutex> lk(m_);
     close_requested_ = true;
+    fin = claim_finish_locked();
   }
-  queue_.close();
-  if (worker_.joinable()) worker_.join();
+  if (fin) finish();
 }
 
-bool StreamingSession::closed() const {
+bool StreamingSession::closed() {
+  poll_expiry();
   std::lock_guard<std::mutex> lk(m_);
   return closed_;
 }
 
-SessionStats StreamingSession::stats() const {
+SessionStats StreamingSession::stats() {
+  poll_expiry();
   std::lock_guard<std::mutex> lk(m_);
   SessionStats s;
   s.chunks_submitted = chunks_submitted_;
@@ -136,96 +126,129 @@ SessionStats StreamingSession::stats() const {
   return s;
 }
 
-void StreamingSession::worker_loop() {
-  constexpr auto kTick = std::chrono::milliseconds(50);
+void StreamingSession::poll_expiry() {
+  if (opts_.heartbeat_timeout_ms <= 0.0) return;
+  bool fin = false;
+  {
+    std::lock_guard<std::mutex> lk(m_);
+    if (close_requested_ || busy_ ||
+        ms_since(last_activity_) <= opts_.heartbeat_timeout_ms)
+      return;
+    close_requested_ = true;
+    expired_ = true;
+    fin = claim_finish_locked();
+  }
+  if (fin) finish();
+}
+
+bool StreamingSession::claim_finish_locked() {
+  if (!close_requested_ || busy_ || finish_claimed_) return false;
+  finish_claimed_ = true;
+  return true;
+}
+
+void StreamingSession::finish() {
+  lease_.reset();  // release (and machine-reset) the engine
+  {
+    std::lock_guard<std::mutex> lk(m_);
+    closed_ = true;
+  }
+  if (server_ != nullptr) server_->sched_.note_session_closed(opts_.tenant);
+}
+
+void StreamingSession::pump() {
   for (;;) {
-    ChunkJob job;
-    switch (queue_.pop_for(kTick, job)) {
-      case BoundedQueue<ChunkJob>::PopStatus::kTimeout: {
-        if (opts_.heartbeat_timeout_ms > 0.0) {
-          bool expire = false;
-          {
-            std::lock_guard<std::mutex> lk(m_);
-            expire = !close_requested_ &&
-                     ms_since(last_activity_) > opts_.heartbeat_timeout_ms;
-          }
-          if (expire) {
-            finish(/*expired_by_heartbeat=*/true);
-            return;
-          }
-        }
-        continue;
+    Chunk c;
+    bool fin = false;
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      if (fifo_.empty()) {
+        busy_ = false;
+        // The idle clock starts when the last chunk is done, so a slow
+        // chunk never counts against the heartbeat budget.
+        last_activity_ = std::chrono::steady_clock::now();
+        fin = claim_finish_locked();
+      } else {
+        c = std::move(fifo_.front());
+        fifo_.pop_front();
       }
-      case BoundedQueue<ChunkJob>::PopStatus::kClosed:
-        // Graceful close: everything admitted was drained through
-        // run_chunk before the queue reported closed.
-        finish(/*expired_by_heartbeat=*/false);
-        return;
-      case BoundedQueue<ChunkJob>::PopStatus::kItem:
-        run_chunk(job);
-        break;
     }
+    if (c.ticket == nullptr) {
+      if (fin) finish();
+      return;
+    }
+    if (server_ != nullptr) {
+      // Admitted: the worker that runs it calls chunk_done(), which pumps
+      // on. Refused: the server already answered the ticket.
+      if (server_->dispatch_chunk(*this, c)) return;
+      count_chunk(/*success=*/false);
+      continue;
+    }
+    // Standalone: the serial reference runs the chunk right here.
+    obs::ScopedCorr corr(c.ticket->id);
+    ecnn::NetworkRunStats result;
+    const std::exception_ptr error = run_chunk(c.input, result);
+    count_chunk(error == nullptr);
+    if (error)
+      c.ticket->fail(error, ms_since(c.submitted_at));
+    else
+      c.ticket->fulfill(std::move(result), ms_since(c.submitted_at));
   }
 }
 
+void StreamingSession::chunk_done(bool success) {
+  count_chunk(success);
+  pump();
+}
+
+void StreamingSession::count_chunk(bool success) {
+  {
+    std::lock_guard<std::mutex> lk(m_);
+    if (success) {
+      ++chunks_completed_;
+      timesteps_consumed_ = t_base_;
+    } else {
+      ++chunks_failed_;
+    }
+  }
+  if (server_ != nullptr) server_->sched_.note_chunk(opts_.tenant, success);
+}
+
 void StreamingSession::ensure_engine() {
-  if (lease_) return;
-  lease_.emplace(pool_.acquire());
+  if (lease_->poisoned()) {
+    // Respawn: the failed chunk's engine is discarded for a fresh one.
+    pool_.respawn(*lease_);
+    programmed_ = false;
+    std::lock_guard<std::mutex> lk(m_);
+    ++respawns_;
+  }
+  if (programmed_) return;
   try {
     // Full reset first: on a weight-resident pool the lease may carry slice
     // programming from earlier time-multiplexed traffic, and the strict
     // replay tier needs a machine indistinguishable from new under it.
     lease_->engine().reset();
-    const event::StreamGeometry geom = ecnn::build_pipeline(
-        lease_->engine(), *model_, opts_.horizon_timesteps);
-    // out_geom_ is published once, before the worker exists; respawns
-    // reprogram the identical plan so rewriting it would only race readers.
-    if (!spawned_once_) out_geom_ = geom;
+    ecnn::program_pipeline(lease_->engine(), plan_);
     if (have_snapshot_) lease_->engine().restore_neuron_state(snapshot_);
   } catch (...) {
     lease_->poison();
-    lease_.reset();
     throw;
   }
-  if (spawned_once_) {
-    std::lock_guard<std::mutex> lk(m_);
-    ++respawns_;
-  }
-  spawned_once_ = true;
+  programmed_ = true;
 }
 
-void StreamingSession::run_chunk(ChunkJob& job) {
-  // Chunk span correlated by the chunk's ticket id; the queue wait since
-  // feed() and the engine run nest under the session's worker thread.
-  obs::ScopedCorr obs_corr(job.ticket->id);
-  obs::trace_span_since("serve.chunk.queue", job.submitted_at, t_base_);
+std::exception_ptr StreamingSession::run_chunk(
+    const event::EventStream& input, ecnn::NetworkRunStats& result) {
   obs::ScopedSpan chunk_span("serve.chunk", t_base_);
-  const std::uint16_t chunk_t = job.input.geometry().timesteps;
+  const std::uint16_t chunk_t = input.geometry().timesteps;
   const std::uint16_t t0 = t_base_;
-  const auto fail_chunk = [&](std::exception_ptr e) {
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      ++chunks_failed_;
-    }
-    job.ticket->fail(e, ms_since(job.submitted_at));
-    if (hooks_.on_chunk) hooks_.on_chunk(/*success=*/false, 0);
-  };
-  // A chunk whose deadline burned in the session queue fails fast with no
-  // engine time and no session-state change.
-  if (job.deadline && std::chrono::steady_clock::now() >= *job.deadline) {
-    fail_chunk(std::make_exception_ptr(DeadlineExceeded(
-        "chunk expired in session queue: deadline passed before dispatch")));
-    return;
-  }
   if (static_cast<std::uint32_t>(t0) + chunk_t > opts_.horizon_timesteps) {
     std::ostringstream os;
     os << "session horizon exhausted: chunk spans session timesteps [" << t0
        << ", " << t0 + chunk_t << ") but horizon_timesteps = "
        << opts_.horizon_timesteps << "; open a new session to continue";
-    fail_chunk(std::make_exception_ptr(ChunkError(os.str())));
-    return;
+    return std::make_exception_ptr(ChunkError(os.str()));
   }
-  ecnn::NetworkRunStats result;
   try {
     ensure_engine();
     faults::check("serve.session.chunk");
@@ -233,8 +256,8 @@ void StreamingSession::run_chunk(ChunkJob& job) {
     // chunk resets neuron state; continuation chunks integrate on top of
     // the membranes the previous chunk left behind.
     const event::EventStream ctl =
-        job.input.with_control_events(opts_.policy, /*initial_reset=*/t0 == 0);
-    event::StreamGeometry abs_geom = job.input.geometry();
+        input.with_control_events(opts_.policy, /*initial_reset=*/t0 == 0);
+    event::StreamGeometry abs_geom = input.geometry();
     abs_geom.timesteps = static_cast<std::uint16_t>(t0 + chunk_t);
     event::EventStream abs(abs_geom);
     abs.reserve(ctl.size());
@@ -243,7 +266,7 @@ void StreamingSession::run_chunk(ChunkJob& job) {
       abs.push(e);
     }
     core::RunOptions ro;
-    ro.out_geometry = out_geom_;
+    ro.out_geometry = plan_.out_geometry;
     ro.out_geometry.timesteps = abs_geom.timesteps;
     obs::ScopedSpan sim_span("ecnn.simulate", t0);
     core::RunResult r = lease_->engine().run(abs.to_beats(), ro);
@@ -254,65 +277,19 @@ void StreamingSession::run_chunk(ChunkJob& job) {
     // Quarantine the engine (nothing certifies its state mid-chunk) and
     // fail only this chunk, diagnosably. The snapshot still holds the last
     // good chunk boundary; the next chunk respawns and restores it.
-    if (lease_) {
-      lease_->poison();
-      lease_.reset();
-    }
+    lease_->poison();
     std::ostringstream os;
     os << "session chunk over session timesteps [" << t0 << ", "
        << t0 + chunk_t << ") failed: " << e.what()
        << "; session state rolled back to timestep " << t0;
-    fail_chunk(std::make_exception_ptr(ChunkError(os.str())));
-    return;
+    return std::make_exception_ptr(ChunkError(os.str()));
   }
   // Success: advance the session clock and snapshot the carried neuron
   // state as the new recovery point.
   t_base_ = static_cast<std::uint16_t>(t0 + chunk_t);
   lease_->engine().save_neuron_state(snapshot_);
   have_snapshot_ = true;
-  const double lat_ms = ms_since(job.submitted_at);
-  const std::uint64_t cycles = result.cycles;
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    ++chunks_completed_;
-    timesteps_consumed_ = t_base_;
-  }
-  job.ticket->fulfill(std::move(result), lat_ms);
-  if (hooks_.on_chunk) hooks_.on_chunk(/*success=*/true, cycles);
-}
-
-void StreamingSession::finish(bool expired_by_heartbeat) {
-  if (expired_by_heartbeat) {
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      close_requested_ = true;
-      expired_ = true;
-    }
-    queue_.close();
-  }
-  // Fail whatever is still queued (only the expiry path can find anything:
-  // a graceful close drains chunks through run_chunk first).
-  ChunkJob job;
-  while (queue_.pop_for(std::chrono::nanoseconds(0), job) ==
-         BoundedQueue<ChunkJob>::PopStatus::kItem) {
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      ++chunks_failed_;
-    }
-    job.ticket->fail(
-        std::make_exception_ptr(SessionClosed(
-            expired_by_heartbeat
-                ? "session expired (heartbeat timeout) with chunk queued"
-                : "session closed with chunk queued")),
-        ms_since(job.submitted_at));
-    if (hooks_.on_chunk) hooks_.on_chunk(/*success=*/false, 0);
-  }
-  lease_.reset();  // release (and machine-reset) the engine
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    closed_ = true;
-  }
-  if (hooks_.on_close) hooks_.on_close();
+  return nullptr;
 }
 
 }  // namespace sne::serve

@@ -33,27 +33,37 @@
 // snapshot, and the session continues bitwise as if the failed chunk had
 // simply never been fed.
 //
-// Lifecycle: open (engine leased, pipeline programmed) -> feed*/heartbeat*
-// -> close (graceful: queued chunks drain, lease released) — or expiry: a
-// session idle past `heartbeat_timeout_ms` closes itself and fails
-// still-queued chunks. Tenant eviction closes every session of the tenant
-// the same way. feed() after close/expiry throws SessionClosed.
+// Threading: a session owns no thread and feed() never blocks. Chunks wait
+// in a session FIFO (at most 8); a server-opened session keeps one of them
+// at a time in its tenant's lane of the InferenceServer's scheduler, and
+// the dispatch worker that runs it on the pinned engine pushes the next.
+// Chunks stay serial per session while DRR interleaves them with one-shot
+// requests. A standalone session (no server: the serial reference in
+// tests) runs each chunk inline in feed(), through the same run_chunk.
+//
+// Lifecycle: open (pipeline planned, one engine pinned; the first chunk
+// programs it) -> feed*/heartbeat* -> close. close() never joins: an idle
+// session finishes at once, a busy one when its last admitted chunk
+// settles. Heartbeat expiry is lazy (feed, heartbeat, closed and stats
+// check the idle clock; server workers sweep every 100 ms) and only takes
+// a session with nothing queued or running. Tenant eviction closes the
+// tenant's sessions and drops their queued chunks. feed() after
+// close/expiry throws SessionClosed.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "core/engine.h"
 #include "ecnn/engine_pool.h"
+#include "ecnn/runner.h"
 #include "event/event_stream.h"
-#include "serve/bounded_queue.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 #include "serve/ticket.h"
@@ -70,8 +80,9 @@ struct SessionOptions {
   /// At most kMaxHorizonTimesteps (event timestamps are 8-bit). Also the
   /// horizon the pipeline plan is built for.
   std::uint16_t horizon_timesteps = kMaxHorizonTimesteps;
-  /// Idle budget: a session with no feed()/heartbeat() for this long closes
-  /// itself and fails queued chunks (0 = never).
+  /// Idle budget: a session with nothing queued or running and no
+  /// feed()/heartbeat() for this long (counted from its last chunk's end)
+  /// closes itself (0 = never).
   double heartbeat_timeout_ms = 0.0;
   event::FirePolicy policy = event::FirePolicy::kActiveStepsOnly;
 };
@@ -93,9 +104,10 @@ class ChunkError : public std::runtime_error {
 struct SessionStats {
   std::uint64_t chunks_submitted = 0;
   std::uint64_t chunks_completed = 0;
-  /// Chunks whose ticket failed after admission (dispatch errors, queue
-  /// expiries, close-time drains). chunks_completed + chunks_failed reaches
-  /// chunks_submitted once the session drains.
+  /// Chunks whose ticket failed after feed() accepted them (chunk errors,
+  /// queue expiries, a lane that refused the push, eviction).
+  /// chunks_completed + chunks_failed reaches chunks_submitted once the
+  /// session drains.
   std::uint64_t chunks_failed = 0;
   /// Engine replacements after a chunk failure (the respawn path ran).
   std::uint64_t respawns = 0;
@@ -104,22 +116,19 @@ struct SessionStats {
   bool expired = false;  ///< closed by the heartbeat watchdog
 };
 
-class StreamingSession {
- public:
-  /// Server integration points; both optional (standalone sessions are the
-  /// serial reference in tests). on_chunk fires per finished chunk (off the
-  /// session lock); on_close fires exactly once when the session closes.
-  struct Hooks {
-    std::function<void(bool success, std::uint64_t cycles)> on_chunk;
-    std::function<void()> on_close;
-  };
+class InferenceServer;
 
-  /// Leases an engine from `pool`, programs the model as a pipeline and
-  /// starts the chunk worker. Throws ConfigError when the model cannot run
-  /// in pipeline mode (multi-pass layers) or the horizon does not fit the
-  /// 8-bit event clock.
+class StreamingSession
+    : public std::enable_shared_from_this<StreamingSession> {
+ public:
+  /// Plans the model as a pipeline and pins one engine of `pool` without
+  /// programming it. `server` (open_session passes itself; the session must
+  /// then be owned by a shared_ptr) runs the chunks on its dispatch
+  /// workers; null = standalone. Throws ConfigError when the model cannot
+  /// run in pipeline mode or the horizon does not fit the 8-bit event
+  /// clock, DispatchRefused past the pool's pinned-lease cap.
   StreamingSession(ecnn::EnginePool& pool, ModelRegistry::ModelPtr model,
-                   SessionOptions opts, Hooks hooks = {});
+                   SessionOptions opts, InferenceServer* server = nullptr);
   ~StreamingSession();
 
   StreamingSession(const StreamingSession&) = delete;
@@ -127,11 +136,10 @@ class StreamingSession {
 
   /// Feeds one chunk (events in chunk-local time [0, chunk timesteps)).
   /// Returns a ticket fulfilled with the chunk's NetworkRunStats (cycles,
-  /// counters, output events in *session* time). Blocks on chunk-queue
-  /// backpressure — never past the request's own deadline
-  /// (BoundedQueue::push_for): a timed-out feed sheds with
-  /// DeadlineExceeded instead of sleeping. Throws SessionClosed after
-  /// close/expiry.
+  /// counters, output events in *session* time). Never waits for another
+  /// chunk: one whose deadline already passed fails with DeadlineExceeded,
+  /// one that finds the FIFO full with DispatchRefused. Throws
+  /// SessionClosed after close/expiry.
   Ticket feed(event::EventStream chunk,
               std::optional<std::chrono::steady_clock::time_point> deadline =
                   std::nullopt);
@@ -139,59 +147,74 @@ class StreamingSession {
   /// Liveness signal: resets the idle clock without feeding.
   void heartbeat();
 
-  /// Graceful close: admission stops immediately, queued chunks drain, the
-  /// engine lease releases. Idempotent; safe to call concurrently with
-  /// feed().
+  /// Graceful close: admission stops immediately, admitted chunks still
+  /// run, the engine lease releases once none is left. Never blocks;
+  /// idempotent; safe to call concurrently with feed().
   void close();
 
-  bool closed() const;
-  SessionStats stats() const;
+  /// Both check the heartbeat budget first (an idle session past it
+  /// expires here).
+  bool closed();
+  SessionStats stats();
   const std::string& tenant() const { return opts_.tenant; }
   /// Output geometry of the pipeline's last stage (session-time stamped).
-  const event::StreamGeometry& output_geometry() const { return out_geom_; }
+  const event::StreamGeometry& output_geometry() const {
+    return plan_.out_geometry;
+  }
 
  private:
-  struct ChunkJob {
+  friend class InferenceServer;
+
+  struct Chunk {
     event::EventStream input;
     std::shared_ptr<detail::TicketState> ticket;
     std::chrono::steady_clock::time_point submitted_at;
     std::optional<std::chrono::steady_clock::time_point> deadline;
   };
 
-  void worker_loop();
-  /// (Re)acquires + programs an engine if none is held; restores the last
-  /// snapshot. Counts a respawn when replacing a poisoned engine.
+  /// Runs one chunk on the pinned engine (caller holds busy_). Null on
+  /// success, else the chunk's error.
+  std::exception_ptr run_chunk(const event::EventStream& input,
+                               ecnn::NetworkRunStats& result);
+  /// Respawns a poisoned engine, then programs the pipeline and restores
+  /// the last snapshot if the engine does not hold them yet.
   void ensure_engine();
-  void run_chunk(ChunkJob& job);
-  /// Close-time path shared by graceful close and heartbeat expiry: fail
-  /// whatever is still queued, release the lease, fire on_close once.
-  void finish(bool expired_by_heartbeat);
+  /// With busy_ set: runs waiting chunks inline or hands the next one to
+  /// the server; once the FIFO is empty clears busy_ (finishing a closing
+  /// session).
+  void pump();
+  /// A server-run chunk is done (or dropped): book it and pump(), so the
+  /// session is idle or has its next chunk queued before the ticket settles.
+  void chunk_done(bool success);
+  void count_chunk(bool success);
+  void poll_expiry();  ///< heartbeat watchdog
+  /// Lock held: close requested, nothing queued or running, and this
+  /// caller is the one to run finish().
+  bool claim_finish_locked();
+  void finish();  ///< releases the lease and reports the close
 
   ecnn::EnginePool& pool_;
-  ModelRegistry::ModelPtr model_;
   SessionOptions opts_;
-  Hooks hooks_;
-  event::StreamGeometry out_geom_;
+  InferenceServer* server_;
+  ecnn::PipelinePlan plan_;
 
-  // Worker-owned state (touched only by the worker thread and the ctor,
-  // which runs before the worker starts).
+  // Runner state: touched only by the thread holding busy_, and finish().
   std::optional<ecnn::EnginePool::Lease> lease_;
   core::SneEngine::NeuronState snapshot_;
   bool have_snapshot_ = false;
-  bool spawned_once_ = false;
-  std::uint16_t t_base_ = 0;  ///< session clock (worker mirror of stats)
-
-  BoundedQueue<ChunkJob> queue_;
-  std::thread worker_;
-  std::mutex close_m_;  ///< serializes close() callers around the join
+  bool programmed_ = false;
+  std::uint16_t t_base_ = 0;  ///< session clock (runner mirror of stats)
 
   mutable std::mutex m_;
+  std::deque<Chunk> fifo_;  ///< fed, not yet handed to the server
+  bool busy_ = false;       ///< a chunk is queued in the lane or running
   std::uint64_t chunks_submitted_ = 0;
   std::uint64_t chunks_completed_ = 0;
   std::uint64_t chunks_failed_ = 0;
   std::uint64_t respawns_ = 0;
   std::uint16_t timesteps_consumed_ = 0;
   bool close_requested_ = false;
+  bool finish_claimed_ = false;
   bool closed_ = false;
   bool expired_ = false;
   std::uint64_t next_chunk_id_ = 1;

@@ -4,13 +4,16 @@
 // pipeline stages) fulfill it when the sample finishes. wait() blocks and
 // either returns the NetworkRunStats or rethrows the failure that the
 // request hit on its worker — exceptions cross the thread boundary instead
-// of killing the server.
+// of killing the server. on_settled() is the non-blocking alternative: a
+// callback the settling thread runs once the ticket is done, so a front end
+// (the HTTP gateway's IO thread) never parks a thread on wait().
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 
@@ -29,6 +32,8 @@ class DeadlineExceeded : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
+class Ticket;
+
 namespace detail {
 
 /// Wall time since `t0` in milliseconds (request-latency stamps).
@@ -38,7 +43,7 @@ inline double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-struct TicketState {
+struct TicketState : std::enable_shared_from_this<TicketState> {
   std::mutex m;
   std::condition_variable cv;
   bool done = false;
@@ -46,25 +51,24 @@ struct TicketState {
   std::exception_ptr error;
   std::uint64_t id = 0;
   double latency_ms = 0.0;  ///< submit -> completion wall time
+  /// Ticket::on_settled callback, fired once by the settling thread.
+  std::function<void(const Ticket&)> on_settled;
 
   void fulfill(ecnn::NetworkRunStats r, double lat_ms) {
-    {
-      std::lock_guard<std::mutex> lk(m);
-      result = std::move(r);
-      latency_ms = lat_ms;
-      done = true;
-    }
-    cv.notify_all();
+    std::unique_lock<std::mutex> lk(m);
+    result = std::move(r);
+    settle(lk, lat_ms);
   }
   void fail(std::exception_ptr e, double lat_ms) {
-    {
-      std::lock_guard<std::mutex> lk(m);
-      error = e;
-      latency_ms = lat_ms;
-      done = true;
-    }
-    cv.notify_all();
+    std::unique_lock<std::mutex> lk(m);
+    error = std::move(e);
+    settle(lk, lat_ms);
   }
+
+ private:
+  /// Marks the ticket done (lock held on entry, released here), wakes
+  /// waiters, then runs the callback off the lock.
+  void settle(std::unique_lock<std::mutex>& lk, double lat_ms);
 };
 
 }  // namespace detail
@@ -121,7 +125,26 @@ class Ticket {
     return state_->latency_ms;
   }
 
+  /// Completion callback: runs exactly once with this (done) ticket, on the
+  /// thread that settles it — after the server's ledgers are settled — or
+  /// immediately on the calling thread when the ticket is already done. It
+  /// runs on a dispatch worker, so it must not block; wait() inside it
+  /// returns (or rethrows) at once. At most one callback per ticket.
+  void on_settled(std::function<void(const Ticket&)> cb) const {
+    SNE_EXPECTS(state_ != nullptr && cb != nullptr);
+    {
+      std::lock_guard<std::mutex> lk(state_->m);
+      SNE_EXPECTS(state_->on_settled == nullptr);
+      if (!state_->done) {
+        state_->on_settled = std::move(cb);
+        return;
+      }
+    }
+    cb(*this);
+  }
+
  private:
+  friend struct detail::TicketState;
   friend class InferenceServer;
   friend class PipelineDeployment;
   friend class StreamingSession;
@@ -130,4 +153,18 @@ class Ticket {
   std::shared_ptr<detail::TicketState> state_;
 };
 
+namespace detail {
+
+inline void TicketState::settle(std::unique_lock<std::mutex>& lk,
+                                double lat_ms) {
+  latency_ms = lat_ms;
+  done = true;
+  std::function<void(const Ticket&)> cb = std::move(on_settled);
+  on_settled = nullptr;
+  lk.unlock();
+  cv.notify_all();
+  if (cb) cb(Ticket(shared_from_this()));
+}
+
+}  // namespace detail
 }  // namespace sne::serve

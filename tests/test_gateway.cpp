@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -418,10 +420,6 @@ TEST(GatewayTest, QueueAgedDeadlineBecomes504) {
 TEST(GatewayTest, TenantQueueOverloadBecomes503WithRetryAfter) {
   net::GatewayConfig gc;
   gc.bearer_tokens["sk-small"] = "small";
-  // Three workers so all three requests reach try_submit concurrently: the
-  // shed must happen *while* the others are in flight, not after a race
-  // against the server draining its queue.
-  gc.workers = 3;
   serve::ServeOptions so = Stack::serve_options();
   so.engines = 1;
   Stack stack(gc, so);
@@ -620,6 +618,74 @@ TEST(GatewayTest, AbruptClientCloseFreesSessionQuotaPromptly) {
   EXPECT_EQ(stack.gateway->stats().sessions_torn_down, 1u);
 }
 
+// --- one dispatch path --------------------------------------------------------
+
+/// Runs one client exchange on its own thread and waits at most `budget`
+/// for it, so a wedged front door fails the test instead of hanging it.
+/// nullopt = no answer in time (the exchange may still finish later).
+std::optional<net::ClientResponse> answer_within(
+    std::future<net::ClientResponse>& f, std::chrono::milliseconds budget) {
+  if (f.wait_for(budget) != std::future_status::ready) return std::nullopt;
+  try {
+    return f.get();
+  } catch (const net::NetError&) {
+    return std::nullopt;
+  }
+}
+
+TEST(GatewayTest, PinnedEnginesNeverBlockTheFrontDoor) {
+  net::GatewayConfig gc = Stack::anonymous_config();
+  gc.bearer_tokens["sk-s"] = "streamer";
+  Stack stack(gc);  // engines = 2
+  stack.server->register_tenant("streamer", TenantConfig{});
+  const std::vector<std::pair<std::string, std::string>> auth = {
+      {"Authorization", "Bearer sk-s"}};
+
+  // Two sessions pin both engines.
+  net::HttpClient s1 = stack.connect();
+  net::HttpClient s2 = stack.connect();
+  ASSERT_EQ(s1.request("POST", "/v1/session/open?model=pipe", auth).status,
+            200);
+  ASSERT_EQ(s2.request("POST", "/v1/session/open?model=pipe", auth).status,
+            200);
+
+  const auto exchange = [&](std::string method, std::string target,
+                            std::string body, bool authed) {
+    return std::async(std::launch::async, [&stack, &auth, method, target,
+                                           body, authed] {
+      net::HttpClient c("127.0.0.1", stack.gateway->port(), 5.0);
+      return c.request(method, target,
+                       authed ? auth
+                              : std::vector<std::pair<std::string,
+                                                      std::string>>{},
+                       body);
+    });
+  };
+  // A third open finds no engine free: an immediate 503 + Retry-After,
+  // never a parked handler.
+  auto third = exchange("POST", "/v1/session/open?model=pipe", "", true);
+  const auto r3 = answer_within(third, std::chrono::milliseconds(1000));
+  // The front door stays live, and a one-shot still gets an engine.
+  auto health = exchange("GET", "/healthz", "", false);
+  const auto rh = answer_within(health, std::chrono::milliseconds(1000));
+  auto infer = exchange(
+      "POST", "/v1/infer?model=tiny",
+      event::encode_stream(data::random_stream({1, 8, 8, 4}, 0.1, 23)), false);
+  const auto ri = answer_within(infer, std::chrono::milliseconds(5000));
+  // Free the pinned engines before the futures join, so a front door that
+  // did wedge above unparks instead of hanging the suite.
+  stack.server->evict_tenant("streamer");
+
+  ASSERT_TRUE(r3.has_value()) << "third open got no answer within 1 s";
+  EXPECT_EQ(r3->status, 503) << r3->body;
+  EXPECT_NE(r3->header("retry-after"), nullptr);
+  ASSERT_TRUE(rh.has_value()) << "/healthz got no answer within 1 s";
+  EXPECT_EQ(rh->status, 200);
+  ASSERT_TRUE(ri.has_value()) << "/v1/infer got no answer within 5 s";
+  EXPECT_EQ(ri->status, 200) << ri->body;
+  EXPECT_EQ(stack.gateway->stats().dispatch_rejected, 1u);
+}
+
 // --- graceful drain ----------------------------------------------------------
 
 TEST(GatewayTest, ShutdownDrainsInflightRequestsBeforeClosing) {
@@ -651,6 +717,42 @@ TEST(GatewayTest, ShutdownDrainsInflightRequestsBeforeClosing) {
   EXPECT_TRUE(closed_after);
   EXPECT_THROW(net::HttpClient("127.0.0.1", port), net::NetError);
   EXPECT_EQ(stack.gateway->stats().connections_open, 0u);
+}
+
+TEST(GatewayTest, TicketSettlingAfterForcedDrainIsDropped) {
+  net::GatewayConfig gc = Stack::anonymous_config();
+  gc.drain_timeout_ms = 50;
+  serve::ServeOptions so = Stack::serve_options();
+  so.engines = 1;
+  Stack stack(gc, so);
+  // The one dispatch stalls well past the drain window.
+  faults::FaultConfig fc;
+  fc.rules.push_back({"serve.server.dispatch", {1}, 0.0, /*stall_ms=*/1000.0});
+  faults::ScopedFaults chaos(fc);
+
+  const std::string body =
+      event::encode_stream(data::random_stream({1, 8, 8, 4}, 0.1, 29));
+  net::HttpClient c = stack.connect();
+  c.send_raw("POST /v1/infer?model=tiny HTTP/1.1\r\nContent-Length: " +
+             std::to_string(body.size()) + "\r\n\r\n" + body);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // shutdown() force-closes the in-flight connection at drain_timeout_ms,
+  // and the gateway is destroyed, while the ticket is still running.
+  stack.gateway->shutdown();
+  EXPECT_THROW(c.read_response(), net::NetError);
+  EXPECT_EQ(stack.server->stats().completed, 0u);
+  stack.gateway.reset();
+
+  // The ticket settles afterwards on a dispatch worker; its completion
+  // callback posts into the disarmed inbox and is dropped (ASan builds
+  // check that nothing freed is touched).
+  auto drained = std::async(std::launch::async,
+                            [&stack] { stack.server->drain(); });
+  ASSERT_EQ(drained.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  const serve::ServerStats st = stack.server->stats();
+  EXPECT_EQ(st.completed, 1u);
+  EXPECT_EQ(st.completed + st.failed, st.submitted);
 }
 
 // --- observability -----------------------------------------------------------

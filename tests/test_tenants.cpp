@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <map>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -25,7 +27,6 @@
 #include "ecnn/batch_runner.h"
 #include "ecnn/engine_pool.h"
 #include "ecnn/runner.h"
-#include "serve/bounded_queue.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
@@ -175,37 +176,6 @@ std::vector<event::EventStream> split_chunks(const event::EventStream& full,
     chunks.push_back(std::move(c));
   }
   return chunks;
-}
-
-// --- BoundedQueue::push_for (timed admission) --------------------------------
-
-TEST(BoundedQueueTest, PushForHonorsTimeoutAndClose) {
-  serve::BoundedQueue<int> q(1);
-  using PR = serve::BoundedQueue<int>::PushResult;
-  int v = 1;
-  ASSERT_EQ(q.try_push(v), PR::kAccepted);
-
-  // Full queue: a timed push waits, then gives up instead of sleeping on.
-  int w = 2;
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(q.push_for(std::chrono::milliseconds(60), w), PR::kFull);
-  const auto waited = std::chrono::steady_clock::now() - t0;
-  EXPECT_GE(waited, std::chrono::milliseconds(40));
-  EXPECT_EQ(w, 2);  // the item is untouched on refusal
-
-  int out = 0;
-  ASSERT_EQ(q.pop_for(std::chrono::milliseconds(10), out),
-            serve::BoundedQueue<int>::PopStatus::kItem);
-  EXPECT_EQ(q.push_for(std::chrono::milliseconds(10), w), PR::kAccepted);
-
-  // A push_for parked on a full queue wakes on close with kClosed.
-  int z = 3;
-  std::thread closer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    q.close();
-  });
-  EXPECT_EQ(q.push_for(std::chrono::seconds(10), z), PR::kClosed);
-  closer.join();
 }
 
 // --- FairScheduler (policy level, no engines) --------------------------------
@@ -892,6 +862,22 @@ TEST(SessionTest, HorizonIsBoundedByTheEventClock) {
   EXPECT_EQ(s.stats().chunks_failed, 0u);
 }
 
+TEST(SessionTest, PinnedLeasesHaveTheirOwnCapAndNeverBlockAcquire) {
+  ecnn::EnginePoolOptions po = session_pool_opts();
+  po.max_engines = 1;
+  ecnn::EnginePool pool(SneConfig::paper_design_point(2), 1, po);
+  auto pinned = pool.try_acquire_pinned();
+  ASSERT_TRUE(pinned.has_value());
+  // The pinned cap is reached: a second pinned lease is refused at once.
+  EXPECT_FALSE(pool.try_acquire_pinned().has_value());
+  // An unpinned acquire does not wait for the pinned engine: the pinned
+  // lease does not count against the unpinned cap.
+  { auto lease = pool.acquire(); }
+  EXPECT_EQ(pool.stats().constructed, 2u);
+  pinned.reset();
+  EXPECT_TRUE(pool.try_acquire_pinned().has_value());
+}
+
 // --- server-managed sessions -------------------------------------------------
 
 TEST(TenantServerTest, SessionQuotaAndEviction) {
@@ -941,6 +927,99 @@ TEST(TenantServerTest, SessionQuotaAndEviction) {
   serve::SessionOptions again;
   again.tenant = "streamer";
   EXPECT_THROW(server.open_session("p", again), ConfigError);
+}
+
+TEST(TenantServerTest, ServerSessionMatchesStandaloneAndNeverBlocksFeed) {
+  const QuantizedNetwork net = pipeline_net();
+  const SneConfig hw = SneConfig::paper_design_point(2);
+  std::vector<event::EventStream> chunks;
+  for (std::uint64_t i = 0; i < 10; ++i)
+    chunks.push_back(data::random_stream({1, 16, 16, 4}, 0.1, 500 + i));
+  serve::SessionOptions sopts;
+  sopts.horizon_timesteps = 40;
+
+  // Serial reference: a standalone session runs chunks inline.
+  std::vector<NetworkRunStats> ref;
+  {
+    ecnn::EnginePool pool(hw, 0, session_pool_opts());
+    serve::StreamingSession s(
+        pool, std::make_shared<const QuantizedNetwork>(net), sopts);
+    for (std::size_t i = 0; i < 9; ++i) ref.push_back(s.feed(chunks[i]).wait());
+  }
+
+  serve::ModelRegistry registry;
+  registry.put("p", net);
+  serve::ServeOptions so;
+  so.engines = 1;
+  so.memory_words = 1u << 20;
+  serve::InferenceServer server(registry, hw, so);
+  auto session = server.open_session("p", sopts);
+  // The first chunk stalls on its worker: it runs while the next 8 fill
+  // the session FIFO, and the 10th finds the FIFO full.
+  faults::FaultConfig fc;
+  fc.rules.push_back({"serve.session.chunk", {1}, 0.0, /*stall_ms=*/300.0});
+  faults::ScopedFaults chaos(fc);
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<serve::Ticket> tickets;
+  for (const auto& c : chunks) tickets.push_back(session->feed(c));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(250))
+      << "feed() blocked";
+  ASSERT_TRUE(tickets[9].done());
+  EXPECT_THROW(tickets[9].wait(), serve::DispatchRefused);
+  for (std::size_t i = 0; i < 9; ++i) {
+    ASSERT_EQ(tickets[i].wait_for(std::chrono::seconds(30)),
+              serve::Ticket::WaitStatus::kReady);
+    expect_equivalent(ref[i], tickets[i].wait());
+  }
+  server.close_session(session);
+  EXPECT_TRUE(session->closed());
+  const serve::SessionStats st = session->stats();
+  EXPECT_EQ(st.chunks_submitted, 9u);
+  EXPECT_EQ(st.chunks_completed, 9u);
+}
+
+/// The process's thread count (Threads: in /proc/self/status).
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+TEST(TenantServerTest, SessionsRunOnDispatchWorkersWithoutThreads) {
+  serve::ModelRegistry registry;
+  registry.put("p", pipeline_net());
+  serve::ServeOptions so;
+  so.engines = 16;
+  so.memory_words = 1u << 16;
+  serve::InferenceServer server(registry, SneConfig::paper_design_point(2),
+                                so);
+  serve::SessionOptions sopts;
+  sopts.horizon_timesteps = 12;
+  std::vector<std::shared_ptr<serve::StreamingSession>> sessions;
+  sessions.push_back(server.open_session("p", sopts));
+  const int with_one = process_threads();
+  ASSERT_GT(with_one, 0);
+  for (int i = 1; i < 16; ++i) sessions.push_back(server.open_session("p", sopts));
+  // Chunks of every session run on the server's dispatch workers.
+  const auto chunk = data::random_stream({1, 16, 16, 4}, 0.1, 77);
+  std::vector<serve::Ticket> tickets;
+  for (const auto& s : sessions) tickets.push_back(s->feed(chunk));
+  for (const serve::Ticket& t : tickets) {
+    ASSERT_EQ(t.wait_for(std::chrono::seconds(30)),
+              serve::Ticket::WaitStatus::kReady);
+    EXPECT_GT(t.wait().cycles, 0u);
+  }
+  // A thread an earlier test joined can linger in the count for a moment,
+  // so the count may fall here, but it must not grow with the sessions.
+  EXPECT_LE(process_threads(), with_one);
+  for (const auto& s : sessions) server.close_session(s);
+  // Chunks count in the request ledger like one-shot requests.
+  const serve::ServerStats st = server.stats();
+  EXPECT_EQ(st.submitted, 16u);
+  EXPECT_EQ(st.completed, 16u);
 }
 
 }  // namespace
