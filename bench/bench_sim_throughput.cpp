@@ -27,7 +27,6 @@
 #include "obs/metrics.h"
 #include "obs/run_profile.h"
 #include "obs/trace.h"
-#include "serve/pipeline.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "train/trainer.h"
@@ -382,23 +381,21 @@ BENCHMARK(BM_TrainerEpoch)
     ->Unit(benchmark::kMillisecond);
 
 // Serving throughput: a batch of requests through the sne::serve runtime.
-// Arg 0: engines (server workers / pipeline stages); arg 1: execution mode.
+// Arg 0: engines (server workers); arg 1: execution mode. Mode numbers 2
+// and 5 are unused: the other modes keep their numbers so the committed
+// baseline rows keep their names.
 //
 // Host-loaded weights, 3-layer conv/pool/fc model (PR 4's workload):
 //   1 = pooled-reuse, cold: leases reset engines, reprograms every request
-//   2 = pipelined sharding, cold: layer ranges on different pooled engines
-// Modes 1-2 produce bitwise-identical per-request results (test_serve pins
-// it), so sim_cycles_per_s denominators agree — wall clock is the product.
 //
 // WLOAD-streamed weights, weight-heavy single-conv model (programming
 // dominates a request — the weight-resident serving workload):
 //   3 = pooled, cold: every request streams the full WLOAD program
 //   4 = pooled, warm: weight-resident leases skip the WLOAD phase entirely
-//   5 = pipelined, warm: weight-resident stages (deploy-time warmup)
-// Modes 3-5 agree on events/spikes and post-programming counters (the
-// relaxed equality tier); warm modes report fewer sim cycles because the
-// programming phase is simply absent — the 4-vs-3 wall-clock gap is the
-// program-once / serve-many win.
+// Modes 3-4 agree on events/spikes and post-programming counters (the
+// relaxed equality tier); the warm mode reports fewer sim cycles because
+// the programming phase is simply absent — the 4-vs-3 wall-clock gap is
+// the program-once / serve-many win.
 //
 // Fault-tolerance mode (3-layer host-loaded model again):
 //   6 = chaos + shedding: the sne::faults injector is armed with a seeded
@@ -428,12 +425,10 @@ BENCHMARK(BM_TrainerEpoch)
 void BM_ServeThroughput(benchmark::State& state) {
   const auto engines = static_cast<unsigned>(state.range(0));
   const auto mode = static_cast<int>(state.range(1));
-  const bool wload = mode >= 3 && mode <= 5;
+  const bool wload = mode == 3 || mode == 4;
   const std::string mode_label = mode == 1   ? "pooled-reuse"
-                                 : mode == 2 ? "pipelined"
                                  : mode == 3 ? "wload-cold-pooled"
                                  : mode == 4 ? "wload-warm-pooled"
-                                 : mode == 5 ? "wload-warm-pipelined"
                                  : mode == 6 ? "chaos-retry-shed"
                                  : mode == 7 ? "multi-tenant-skew"
                                              : "gateway-loopback";
@@ -518,135 +513,119 @@ void BM_ServeThroughput(benchmark::State& state) {
 
   std::uint64_t cycles = 0;
   std::uint64_t requests = 0;
-  if (mode == 2 || mode == 5) {
-    serve::PipelineOptions po;
-    po.stages = engines;
-    po.use_wload_stream = wload;
-    po.weight_resident = mode == 5;
-    if (mode == 5)
-      po.warmup_timesteps = inputs.front().geometry().timesteps;
-    serve::PipelineDeployment deployment(hw, net, po);
+  serve::ServeOptions so;
+  so.engines = engines;
+  so.warm_weights = mode == 4;
+  so.use_wload_stream = wload;
+  serve::InferenceServer server(registry, hw, so);
+  // Zipf-weighted tenants with a matching skewed request mix: the hot
+  // tenant holds more than half the traffic AND more than half the fair
+  // share, so the DRR ring, ledger updates, and breaker gates all run hot.
+  static constexpr unsigned kTenantOf[12] = {0, 0, 0, 0, 0, 0,
+                                             1, 1, 1, 2, 2, 3};
+  static const std::string kTenantName[4] = {"t0", "t1", "t2", "t3"};
+  if (mode == 7 || mode == 8)
+    for (unsigned ti = 0; ti < 4; ++ti) {
+      serve::TenantConfig tc;
+      tc.weight = 8u >> ti;  // 8, 4, 2, 1
+      server.register_tenant(kTenantName[ti], tc);
+    }
+  std::optional<faults::ScopedFaults> chaos;
+  if (mode >= 6) {
+    faults::FaultConfig cfg;
+    cfg.seed = 2026;
+    cfg.rules.push_back(
+        faults::FaultRule{"serve.server.dispatch", {}, 0.08, 0.0});
+    chaos.emplace(std::move(cfg));
+  }
+  if (mode == 8) {
+    net::GatewayConfig gcfg;
+    for (unsigned ti = 0; ti < 4; ++ti)
+      gcfg.bearer_tokens["tok-" + kTenantName[ti]] = kTenantName[ti];
+    net::GatewayServer gateway(server, gcfg);
+    std::vector<std::string> bodies;
+    for (const auto& in : inputs) bodies.push_back(event::encode_stream(in));
     for (auto _ : state) {
-      const auto results = deployment.run(inputs);
-      for (const auto& r : results) cycles += r.cycles;
-      requests += results.size();
-      benchmark::DoNotOptimize(results.size());
-    }
-  } else {
-    serve::ServeOptions so;
-    so.engines = engines;
-    so.warm_weights = mode == 4;
-    so.use_wload_stream = wload;
-    serve::InferenceServer server(registry, hw, so);
-    // Zipf-weighted tenants with a matching skewed request mix: the hot
-    // tenant holds more than half the traffic AND more than half the fair
-    // share, so the DRR ring, ledger updates, and breaker gates all run hot.
-    static constexpr unsigned kTenantOf[12] = {0, 0, 0, 0, 0, 0,
-                                               1, 1, 1, 2, 2, 3};
-    static const std::string kTenantName[4] = {"t0", "t1", "t2", "t3"};
-    if (mode == 7 || mode == 8)
+      std::atomic<std::uint64_t> iter_cycles{0};
+      std::vector<std::thread> drivers;
       for (unsigned ti = 0; ti < 4; ++ti) {
-        serve::TenantConfig tc;
-        tc.weight = 8u >> ti;  // 8, 4, 2, 1
-        server.register_tenant(kTenantName[ti], tc);
-      }
-    std::optional<faults::ScopedFaults> chaos;
-    if (mode >= 6) {
-      faults::FaultConfig cfg;
-      cfg.seed = 2026;
-      cfg.rules.push_back(
-          faults::FaultRule{"serve.server.dispatch", {}, 0.08, 0.0});
-      chaos.emplace(std::move(cfg));
-    }
-    if (mode == 8) {
-      net::GatewayConfig gcfg;
-      for (unsigned ti = 0; ti < 4; ++ti)
-        gcfg.bearer_tokens["tok-" + kTenantName[ti]] = kTenantName[ti];
-      net::GatewayServer gateway(server, gcfg);
-      std::vector<std::string> bodies;
-      for (const auto& in : inputs) bodies.push_back(event::encode_stream(in));
-      for (auto _ : state) {
-        std::atomic<std::uint64_t> iter_cycles{0};
-        std::vector<std::thread> drivers;
-        for (unsigned ti = 0; ti < 4; ++ti) {
-          drivers.emplace_back([&, ti] {
-            // One keep-alive connection per tenant; its requests serialize
-            // on it like a real client's would. The gateway closes the
-            // connection after a 500 (a chaos failure that outran the retry
-            // budget), so the driver reconnects like a real client — at most
-            // one fresh attempt per request.
-            std::optional<net::HttpClient> c;
-            c.emplace("127.0.0.1", gateway.port());
-            const std::vector<std::pair<std::string, std::string>> auth = {
-                {"Authorization", "Bearer tok-" + kTenantName[ti]}};
-            for (std::size_t i = 0; i < bodies.size(); ++i) {
-              if (kTenantOf[i] != ti) continue;
-              for (int attempt = 0; attempt < 2; ++attempt) {
-                try {
-                  const net::ClientResponse r = c->request(
-                      "POST", "/v1/infer?model=m", auth, bodies[i]);
-                  const std::string* cyc = r.header("x-sne-cycles");
-                  // Chaos answers (a 500 whose injected failure outran the
-                  // retry budget) carry no cycle header and count no work.
-                  if (r.status == 200 && cyc != nullptr)
-                    iter_cycles.fetch_add(
-                        std::strtoull(cyc->c_str(), nullptr, 10));
-                  break;
-                } catch (const net::NetError&) {
-                  c.emplace("127.0.0.1", gateway.port());
-                }
+        drivers.emplace_back([&, ti] {
+          // One keep-alive connection per tenant; its requests serialize
+          // on it like a real client's would. The gateway closes the
+          // connection after a 500 (a chaos failure that outran the retry
+          // budget), so the driver reconnects like a real client — at most
+          // one fresh attempt per request.
+          std::optional<net::HttpClient> c;
+          c.emplace("127.0.0.1", gateway.port());
+          const std::vector<std::pair<std::string, std::string>> auth = {
+              {"Authorization", "Bearer tok-" + kTenantName[ti]}};
+          for (std::size_t i = 0; i < bodies.size(); ++i) {
+            if (kTenantOf[i] != ti) continue;
+            for (int attempt = 0; attempt < 2; ++attempt) {
+              try {
+                const net::ClientResponse r = c->request(
+                    "POST", "/v1/infer?model=m", auth, bodies[i]);
+                const std::string* cyc = r.header("x-sne-cycles");
+                // Chaos answers (a 500 whose injected failure outran the
+                // retry budget) carry no cycle header and count no work.
+                if (r.status == 200 && cyc != nullptr)
+                  iter_cycles.fetch_add(
+                      std::strtoull(cyc->c_str(), nullptr, 10));
+                break;
+              } catch (const net::NetError&) {
+                c.emplace("127.0.0.1", gateway.port());
               }
             }
-          });
-        }
-        for (auto& d : drivers) d.join();
-        cycles += iter_cycles.load();
-        requests += inputs.size();
-        benchmark::DoNotOptimize(requests);
+          }
+        });
       }
-      const obs::Labels base{{"bench", "serve"}, {"mode", mode_label}};
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
-      obs::publish_server_stats(reg, server.stats(), base);
-      obs::publish_fault_stats(reg, base);
-      obs::publish_gateway_stats(reg, gateway.stats(), base);
-      state.SetItemsProcessed(static_cast<std::int64_t>(requests));
-      state.counters["sim_cycles_per_s"] = benchmark::Counter(
-          static_cast<double>(cycles), benchmark::Counter::kIsRate);
-      state.SetLabel("mode=" + mode_label);
-      return;
+      for (auto& d : drivers) d.join();
+      cycles += iter_cycles.load();
+      requests += inputs.size();
+      benchmark::DoNotOptimize(requests);
     }
-    std::vector<serve::Ticket> tickets;
-    for (auto _ : state) {
-      tickets.clear();
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        serve::RequestOptions ropts;
-        if (mode == 6 && i % 4 == 3)
-          ropts.deadline = std::chrono::steady_clock::now() -
-                           std::chrono::milliseconds(1);
-        if (mode == 7) ropts.tenant = kTenantName[kTenantOf[i]];
-        tickets.push_back(server.submit("m", inputs[i], ropts));
-      }
-      for (const auto& t : tickets) {
-        try {
-          cycles += t.wait().cycles;
-        } catch (const serve::DeadlineExceeded&) {
-          // shed by design: every 4th request arrives expired
-        } catch (const faults::FaultError&) {
-          // an injected failure that outran the retry budget
-        }
-      }
-      requests += tickets.size();
-      benchmark::DoNotOptimize(tickets.size());
-    }
-    // Publish the final server snapshot (headline, per-tenant ledgers,
-    // engine-pool roll-up) and the fault injector's per-site counters into
-    // the process registry. Untimed; the SNE_OBS_PROM / SNE_OBS_METRICS_JSON
-    // exports in main() scrape whatever accumulated here.
     const obs::Labels base{{"bench", "serve"}, {"mode", mode_label}};
     obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
     obs::publish_server_stats(reg, server.stats(), base);
     obs::publish_fault_stats(reg, base);
+    obs::publish_gateway_stats(reg, gateway.stats(), base);
+    state.SetItemsProcessed(static_cast<std::int64_t>(requests));
+    state.counters["sim_cycles_per_s"] = benchmark::Counter(
+        static_cast<double>(cycles), benchmark::Counter::kIsRate);
+    state.SetLabel("mode=" + mode_label);
+    return;
   }
+  std::vector<serve::Ticket> tickets;
+  for (auto _ : state) {
+    tickets.clear();
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      serve::RequestOptions ropts;
+      if (mode == 6 && i % 4 == 3)
+        ropts.deadline = std::chrono::steady_clock::now() -
+                         std::chrono::milliseconds(1);
+      if (mode == 7) ropts.tenant = kTenantName[kTenantOf[i]];
+      tickets.push_back(server.submit("m", inputs[i], ropts));
+    }
+    for (const auto& t : tickets) {
+      try {
+        cycles += t.wait().cycles;
+      } catch (const serve::DeadlineExceeded&) {
+        // shed by design: every 4th request arrives expired
+      } catch (const faults::FaultError&) {
+        // an injected failure that outran the retry budget
+      }
+    }
+    requests += tickets.size();
+    benchmark::DoNotOptimize(tickets.size());
+  }
+  // Publish the final server snapshot (headline, per-tenant ledgers,
+  // engine-pool roll-up) and the fault injector's per-site counters into
+  // the process registry. Untimed; the SNE_OBS_PROM / SNE_OBS_METRICS_JSON
+  // exports in main() scrape whatever accumulated here.
+  const obs::Labels base{{"bench", "serve"}, {"mode", mode_label}};
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+  obs::publish_server_stats(reg, server.stats(), base);
+  obs::publish_fault_stats(reg, base);
   state.SetItemsProcessed(static_cast<std::int64_t>(requests));
   state.counters["sim_cycles_per_s"] = benchmark::Counter(
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
@@ -654,11 +633,7 @@ void BM_ServeThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeThroughput)
     ->Args({1, 1})->Args({2, 1})->Args({4, 1})
-    ->Args({2, 2})->Args({3, 2})
-    // Mode 5's single-layer wload net clamps the deployment to one stage, so
-    // the honest arg is 1 — a multi-stage warm-pipeline datapoint needs a
-    // multi-layer wload workload first.
-    ->Args({1, 3})->Args({1, 4})->Args({2, 3})->Args({2, 4})->Args({1, 5})
+    ->Args({1, 3})->Args({1, 4})->Args({2, 3})->Args({2, 4})
     ->Args({2, 6})->Args({2, 7})->Args({2, 8})
     ->UseRealTime()  // dispatch workers shift work off the timing thread
     ->Unit(benchmark::kMillisecond);

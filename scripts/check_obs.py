@@ -92,8 +92,8 @@ def check_trace(path, errors):
     # Causality: a lease/simulate span recorded under a request's
     # (correlation id, worker thread) must nest inside one of that request's
     # spans. Spans with no matching request — engine benches, direct runner
-    # use, pipeline stage threads, or a corr id some *other* server's ticket
-    # numbering also used — have no request to nest under and are skipped.
+    # use, or a corr id some *other* server's ticket numbering also used —
+    # have no request to nest under and are skipped.
     for ev in events:
         if ev.get("ph") != "X" or ev["name"] not in CHILD_SPANS:
             continue

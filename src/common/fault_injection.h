@@ -16,7 +16,6 @@
 //                            request is built but before any counting or
 //                            queuing (a crash in the front door itself)
 //   serve.server.dispatch    InferenceServer worker, before the engine run
-//   serve.pipeline.stage     PipelineDeployment stage worker, per job
 //   serve.session.chunk      StreamingSession chunk dispatch, before the
 //                            engine run (fails the in-flight chunk; the
 //                            session respawns and continues)
@@ -70,8 +69,8 @@ struct FaultRule {
   std::vector<std::uint64_t> hits;  ///< 1-based hit indices that fire
   double probability = 0.0;  ///< seeded per-hit coin (0 = explicit hits only)
   /// 0 = the fired hit throws FaultError; > 0 = it stalls this many
-  /// milliseconds instead (a slow component, not a dead one — the stage
-  /// watchdog's workload).
+  /// milliseconds instead (a slow component, not a dead one: requests
+  /// queued behind it can outlive their deadlines).
   double stall_ms = 0.0;
 };
 

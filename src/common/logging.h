@@ -1,12 +1,12 @@
 // Leveled stderr logging. Off by default above WARN; benches and examples
 // raise the level explicitly.
 //
-// Thread-safe: serving-stack workers, pipeline stages and the gateway's IO
-// thread all log. Each message is preformatted into one buffer and emitted with a
-// single write(2) to stderr, so concurrent messages never interleave
-// mid-line (POSIX pipe/terminal writes of modest size are atomic in
-// practice, and there is no shared stream state to race on). The discard
-// path (level below threshold) takes no lock and touches no stream.
+// Thread-safe: serving-stack workers and the gateway's IO thread all log.
+// Each message is preformatted into one buffer and emitted with a single
+// write(2) to stderr, so concurrent messages never interleave mid-line
+// (POSIX pipe/terminal writes of modest size are atomic in practice, and
+// there is no shared stream state to race on). The discard path (level
+// below threshold) takes no lock and touches no stream.
 #pragma once
 
 #include <sstream>

@@ -11,18 +11,19 @@ BatchRunner::BatchRunner(core::SneConfig hw, QuantizedNetwork net,
   hw_.validate();
   SNE_EXPECTS(!net_.layers.empty());
   if (opts_.workers > 0) pool_ = std::make_unique<ThreadPool>(opts_.workers);
+  // A cold pool: release is a full reset(), so every pooled run is a strict
+  // bitwise replay of run_one.
   engines_ = std::make_unique<EnginePool>(
       hw_, 0,
       EnginePoolOptions{opts_.memory_words, opts_.mem_timing,
                         opts_.use_wload_stream, /*max_engines=*/0,
-                        /*weight_resident=*/opts_.weight_resident});
-  if (opts_.weight_resident) model_fp_ = model_fingerprint(net_);
+                        /*weight_resident=*/false});
 }
 
 NetworkRunStats BatchRunner::run_one(const event::EventStream& input) const {
   core::SneEngine engine(hw_, opts_.memory_words, opts_.mem_timing);
   NetworkRunner runner(engine, opts_.use_wload_stream);
-  return runner.run(net_, input, opts_.policy);
+  return runner.run(net_, input, event::FirePolicy::kActiveStepsOnly);
 }
 
 std::vector<NetworkRunStats> BatchRunner::run(
@@ -38,12 +39,10 @@ std::vector<NetworkRunStats> BatchRunner::run(
     Ctx& c = *static_cast<Ctx*>(p);
     // Pooled-reuse path: one resident engine per in-flight slot instead of
     // a construction (multi-MB memory clear) per sample; reset-on-release
-    // keeps this bitwise equal to the fresh-engine run_one reference (or
-    // relaxed-tier equal when weight residency is opted in).
-    EnginePool::Lease lease = c.self->engines_->acquire(c.self->model_fp_);
-    (*c.results)[k] =
-        lease.runner().run(c.self->net_, (*c.inputs)[k], c.self->opts_.policy,
-                           c.self->model_fp_);
+    // keeps this bitwise equal to the fresh-engine run_one reference.
+    EnginePool::Lease lease = c.self->engines_->acquire();
+    (*c.results)[k] = lease.runner().run(c.self->net_, (*c.inputs)[k],
+                                         event::FirePolicy::kActiveStepsOnly);
   };
   ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
   pool.run(task, &ctx, inputs.size());

@@ -16,11 +16,7 @@
 // state and contention stalls are keyed by program content, so pooled
 // results are bitwise identical to fresh-engine results and independent of
 // the worker count and of how samples are scheduled onto threads — the
-// regression suite asserts this. Opting into BatchOptions::weight_resident
-// trades that strict tier for the relaxed one: repeat leases skip
-// reprogramming resident weights, so programming-phase counters drop out of
-// the results while events, spikes and post-programming counters stay
-// bitwise equal to run_one (see ecnn::NetworkRunner's warm mode).
+// regression suite asserts this.
 #pragma once
 
 #include <cstddef>
@@ -45,12 +41,6 @@ struct BatchOptions {
   bool use_wload_stream = false;           ///< see NetworkRunner
   std::size_t memory_words = (1u << 22);   ///< per-engine external memory
   hwsim::MemoryTiming mem_timing{};        ///< per-engine memory timing
-  event::FirePolicy policy = event::FirePolicy::kActiveStepsOnly;
-  /// Warm-run the pooled engines (program-once / serve-many): relaxed
-  /// equality tier instead of strict bitwise equality with run_one — see
-  /// the header comment. Default off: dataset protocols (Table-1, energy
-  /// sweeps) pin strict counter equality against the serial reference.
-  bool weight_resident = false;
 };
 
 class BatchRunner {
@@ -89,8 +79,6 @@ class BatchRunner {
   /// Resident engines for run(): grows to the number of in-flight slots and
   /// is kept across run() calls (engines reset between samples).
   std::unique_ptr<EnginePool> engines_;
-  /// Model fingerprint for warm leases (0 when weight_resident is off).
-  std::uint64_t model_fp_ = 0;
 };
 
 }  // namespace sne::ecnn

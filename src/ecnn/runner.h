@@ -146,11 +146,11 @@ class NetworkRunner {
                       std::uint64_t model_fp = 0);
 
   /// Runs one layer (all of its mapper rounds) on the engine and returns its
-  /// stats; `run` is a fold of this over the network's layers. Public as the
-  /// serving reuse hook: a pipeline stage executes exactly this per owned
-  /// layer, so sharded execution reproduces the serial protocol bit for bit
-  /// (sne::serve::PipelineDeployment). `model_fp`/`layer_index` identify the
-  /// layer's passes for the warm residency check (see run()).
+  /// stats; `run` is a fold of this over the network's layers. Public for
+  /// per-layer probes that time one layer at a time (the end-to-end
+  /// benchmark's ecnn.run_layer_ms split calls it with program_layer).
+  /// `model_fp`/`layer_index` identify the layer's passes for the warm
+  /// residency check (see run()).
   LayerRunStats run_layer(const QuantizedLayerSpec& layer,
                           const event::EventStream& input,
                           event::FirePolicy policy =

@@ -1,11 +1,10 @@
 // Span tracer: per-request causality for the serving stack.
 //
 // Sites mark the request lifecycle (submit -> queue wait -> DRR dispatch ->
-// engine-lease acquire -> program/warm-skip -> simulate -> settle), pipeline
-// stage hops and streaming-session chunks. Spans land in bounded per-thread
-// ring buffers (oldest overwritten, drops counted) and export as Chrome
-// trace-event JSON — load the file in Perfetto (ui.perfetto.dev) or
-// chrome://tracing.
+// engine-lease acquire -> program/warm-skip -> simulate -> settle) and
+// streaming-session chunks. Spans land in bounded per-thread ring buffers
+// (oldest overwritten, drops counted) and export as Chrome trace-event
+// JSON — load the file in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // Contract (same as fault_injection.h): default-off, and a disarmed site
 // costs exactly one relaxed-ordering atomic load — no clock read, no

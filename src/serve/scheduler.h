@@ -1,5 +1,5 @@
 // FairScheduler: the multi-tenant admission front door of the serving
-// runtime (replaces the InferenceServer's single FIFO BoundedQueue).
+// runtime (the InferenceServer's only request queue).
 //
 // Each tenant registers a TenantConfig and gets its own bounded queue;
 // dispatch picks across non-empty tenant queues by deficit-round-robin
@@ -238,8 +238,8 @@ class TenantCore {
 }  // namespace detail
 
 /// Weighted-fair multi-tenant queue over opaque payloads `T`.
-/// Thread-safe; close() mirrors BoundedQueue semantics (pushes fail, pops
-/// drain what was accepted).
+/// Thread-safe; after close() pushes fail and pops drain what was accepted,
+/// so no admitted request is dropped on shutdown.
 template <typename T>
 class FairScheduler {
  public:
@@ -492,7 +492,8 @@ class FairScheduler {
     return purged;
   }
 
-  /// Stops admission; pops drain what was accepted (BoundedQueue semantics).
+  /// Stops admission: later pushes fail, pops keep draining what was
+  /// accepted and report kClosed once it is empty.
   void close() {
     {
       std::lock_guard<std::mutex> lk(m_);

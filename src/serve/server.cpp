@@ -391,7 +391,8 @@ void InferenceServer::process(Request& req, const std::string& tenant,
       ecnn::EnginePool::Lease lease = pool_.acquire(fp);
       try {
         faults::check("serve.server.dispatch");
-        result = lease.runner().run(*req.model, req.input, opts_.policy, fp);
+        result = lease.runner().run(*req.model, req.input,
+                                    event::FirePolicy::kActiveStepsOnly, fp);
       } catch (...) {
         lease.poison();
         throw;

@@ -95,7 +95,6 @@ struct ServeOptions {
   bool use_wload_stream = false;
   std::size_t memory_words = (1u << 22);
   hwsim::MemoryTiming mem_timing{};
-  event::FirePolicy policy = event::FirePolicy::kActiveStepsOnly;
   /// Fault tolerance: how many times a request whose dispatch threw is
   /// retried on a freshly acquired engine before its ticket fails. The
   /// throwing lease is poisoned (the pool discards the engine), and because

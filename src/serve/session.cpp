@@ -255,8 +255,8 @@ std::exception_ptr StreamingSession::run_chunk(
     // Rebase the chunk onto the session clock. Only the session's first
     // chunk resets neuron state; continuation chunks integrate on top of
     // the membranes the previous chunk left behind.
-    const event::EventStream ctl =
-        input.with_control_events(opts_.policy, /*initial_reset=*/t0 == 0);
+    const event::EventStream ctl = input.with_control_events(
+        event::FirePolicy::kActiveStepsOnly, /*initial_reset=*/t0 == 0);
     event::StreamGeometry abs_geom = input.geometry();
     abs_geom.timesteps = static_cast<std::uint16_t>(t0 + chunk_t);
     event::EventStream abs(abs_geom);

@@ -84,7 +84,6 @@ struct SessionOptions {
   /// feed()/heartbeat() for this long (counted from its last chunk's end)
   /// closes itself (0 = never).
   double heartbeat_timeout_ms = 0.0;
-  event::FirePolicy policy = event::FirePolicy::kActiveStepsOnly;
 };
 
 /// feed() on a session that was closed, expired, or evicted.

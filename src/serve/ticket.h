@@ -1,12 +1,12 @@
 // Ticket: the future half of an async inference submission.
 //
-// submit() returns immediately with a Ticket; the dispatch workers (or
-// pipeline stages) fulfill it when the sample finishes. wait() blocks and
-// either returns the NetworkRunStats or rethrows the failure that the
-// request hit on its worker — exceptions cross the thread boundary instead
-// of killing the server. on_settled() is the non-blocking alternative: a
-// callback the settling thread runs once the ticket is done, so a front end
-// (the HTTP gateway's IO thread) never parks a thread on wait().
+// submit() returns immediately with a Ticket; a dispatch worker fulfills
+// it when the sample finishes. wait() blocks and either returns the
+// NetworkRunStats or rethrows the failure that the request hit on its
+// worker — exceptions cross the thread boundary instead of killing the
+// server. on_settled() is the non-blocking alternative: a callback the
+// settling thread runs once the ticket is done, so a front end (the HTTP
+// gateway's IO thread) never parks a thread on wait().
 #pragma once
 
 #include <chrono>
@@ -146,7 +146,6 @@ class Ticket {
  private:
   friend struct detail::TicketState;
   friend class InferenceServer;
-  friend class PipelineDeployment;
   friend class StreamingSession;
   explicit Ticket(std::shared_ptr<detail::TicketState> state)
       : state_(std::move(state)) {}

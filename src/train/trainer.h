@@ -62,7 +62,6 @@ struct TrainConfig {
   double logit_scale = 0.5;      ///< spike-count -> logit scaling in the loss
   double rate_floor = 0.02;      ///< calibration: minimum layer spike rate
   std::uint64_t seed = 42;
-  bool verbose = false;
   /// Samples per Adam step. Each minibatch sample gets its own scratch slot
   /// and runs forward+backward in parallel; gradients reduce in sample
   /// order. 1 = the original serial trajectory, bit for bit.

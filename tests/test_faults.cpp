@@ -11,8 +11,6 @@
 //    constructs a replacement, without deadlocking even at max_engines=1;
 //  - deadline-expired requests are shed (admission) or expired (queue)
 //    without simulating anything, and the accounting stays consistent;
-//  - a killed/stalled pipeline stage fails in-flight jobs with diagnosable
-//    StageError messages and respawns — subsequent jobs succeed bitwise;
 //  - an interrupted save_model leaves the previous checkpoint intact
 //    (temp-then-rename), and a failed registry load keeps the last-good
 //    snapshot serving.
@@ -36,9 +34,7 @@
 #include "ecnn/batch_runner.h"
 #include "ecnn/engine_pool.h"
 #include "ecnn/runner.h"
-#include "serve/bounded_queue.h"
 #include "serve/checkpoint.h"
-#include "serve/pipeline.h"
 #include "serve/registry.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
@@ -246,23 +242,7 @@ TEST(FaultInjectorTest, DisarmedSitesAreFreeAndStatsSurvive) {
   EXPECT_EQ(FaultInjector::instance().fired("scoped.site"), 1u);
 }
 
-// --- satellite primitives ----------------------------------------------------
-
-TEST(BoundedQueueTest, PopForDistinguishesItemTimeoutClosed) {
-  serve::BoundedQueue<int> q(2);
-  using Status = serve::BoundedQueue<int>::PopStatus;
-  int out = 0;
-  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(5), out), Status::kTimeout);
-  ASSERT_TRUE(q.push(41));
-  ASSERT_TRUE(q.push(42));
-  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(5), out), Status::kItem);
-  EXPECT_EQ(out, 41);
-  q.close();
-  // Closed still drains what was accepted before reporting kClosed.
-  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(5), out), Status::kItem);
-  EXPECT_EQ(out, 42);
-  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(5), out), Status::kClosed);
-}
+// --- tickets -----------------------------------------------------------------
 
 TEST(TicketTest, WaitForReportsInFlightVersusReady) {
   serve::ModelRegistry registry;
@@ -508,101 +488,6 @@ TEST(DeadlineTest, ExpiredInQueueFailsFastWithConsistentAccounting) {
   EXPECT_EQ(st.shed, 0u);
   // Only the completed request simulated anything.
   EXPECT_EQ(st.total_sim_cycles, slow_result.cycles);
-}
-
-// --- pipeline degradation ----------------------------------------------------
-
-TEST(PipelineChaosTest, StageFaultFailsOneJobDiagnosablyAndRespawns) {
-  const QuantizedNetwork net = three_layer_net();
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  std::vector<event::EventStream> inputs;
-  for (std::uint64_t s = 0; s < 4; ++s)
-    inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 870 + s));
-
-  std::vector<NetworkRunStats> ref;
-  for (const auto& in : inputs) {
-    core::SneEngine engine(hw, 1u << 20);
-    ecnn::NetworkRunner runner(engine, /*use_wload_stream=*/false);
-    ref.push_back(runner.run(net, in));
-  }
-
-  serve::PipelineOptions po;
-  po.stages = 2;
-  po.memory_words = 1u << 20;
-  po.weight_resident = false;  // strict tier for the surviving jobs
-  serve::PipelineDeployment deployment(hw, net, po);
-
-  // Sequential submits (wait each ticket) serialize the stage hits:
-  // job j touches hits 2j-1 (stage 0) and 2j (stage 1). Hit 3 = job 2 at
-  // stage 0, which owns layers [0,2) on this 2-stage split.
-  ScopedFaults chaos(hits_on("serve.pipeline.stage", {3}));
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    serve::Ticket t = deployment.submit(inputs[i]);
-    if (i == 1) {
-      try {
-        (void)t.wait();
-        FAIL() << "job 2 must fail on the injected stage fault";
-      } catch (const serve::StageError& e) {
-        const std::string what = e.what();
-        // Diagnosable: the stage, its layer range, and the cause.
-        EXPECT_NE(what.find("pipeline stage 0"), std::string::npos) << what;
-        EXPECT_NE(what.find("layers [0,2)"), std::string::npos) << what;
-        EXPECT_NE(what.find("injected fault"), std::string::npos) << what;
-      }
-    } else {
-      expect_equivalent(ref[i], t.wait());  // bitwise, before AND after
-    }
-  }
-  // The failing stage quarantined its engine and respawned on a fresh one;
-  // the deployment ledger records exactly that (and the bitwise-correct
-  // post-fault jobs above prove the respawned engine is clean).
-  const serve::PipelineDeployment::Stats st = deployment.stats();
-  EXPECT_EQ(st.jobs_completed, 3u);
-  EXPECT_EQ(st.jobs_failed, 1u);
-  EXPECT_EQ(st.stage_respawns, 1u);
-  EXPECT_EQ(st.watchdog_failures, 0u);
-}
-
-TEST(PipelineChaosTest, WatchdogFailsJobsStuckBehindAStalledStage) {
-  const QuantizedNetwork net = three_layer_net();
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  std::vector<event::EventStream> inputs;
-  for (std::uint64_t s = 0; s < 3; ++s)
-    inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 880 + s));
-
-  core::SneEngine engine(hw, 1u << 20);
-  ecnn::NetworkRunner runner(engine, /*use_wload_stream=*/false);
-
-  serve::PipelineOptions po;
-  po.stages = 1;
-  po.memory_words = 1u << 20;
-  po.weight_resident = false;
-  po.stage_timeout_ms = 50.0;  // watchdog budget
-  serve::PipelineDeployment deployment(hw, net, po);
-
-  // Job 1 stalls 300 ms inside the stage; job 2, queued behind it, exceeds
-  // its 50 ms queue budget and must be watchdog-failed instead of run.
-  FaultConfig cfg;
-  cfg.rules.push_back(FaultRule{"serve.pipeline.stage", {1}, 0.0, 300.0});
-  ScopedFaults chaos(cfg);
-  serve::Ticket t1 = deployment.submit(inputs[0]);
-  serve::Ticket t2 = deployment.submit(inputs[1]);
-  expect_equivalent(runner.run(net, inputs[0]), t1.wait());  // slow, not dead
-  try {
-    (void)t2.wait();
-    FAIL() << "job 2 must be watchdog-failed";
-  } catch (const serve::StageError& e) {
-    EXPECT_NE(std::string(e.what()).find("watchdog"), std::string::npos)
-        << e.what();
-  }
-  // The stage itself is healthy: the next job runs bitwise clean.
-  expect_equivalent(runner.run(net, inputs[2]),
-                    deployment.submit(inputs[2]).wait());
-  const serve::PipelineDeployment::Stats st = deployment.stats();
-  EXPECT_EQ(st.jobs_completed, 2u);
-  EXPECT_EQ(st.jobs_failed, 1u);
-  EXPECT_EQ(st.watchdog_failures, 1u);
-  EXPECT_EQ(st.stage_respawns, 0u);  // a slow stage is not a dead one
 }
 
 // --- admission chaos under fair-share load -----------------------------------

@@ -30,7 +30,6 @@
 #include "obs/metrics.h"
 #include "obs/run_profile.h"
 #include "obs/trace.h"
-#include "serve/pipeline.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -493,33 +492,6 @@ TEST(Tracer, WarmServeIsBitwiseIdenticalWithTelemetryOn) {
   std::set<std::string> names;
   for (const auto& s : obs::Tracer::instance().collect()) names.insert(s.name);
   EXPECT_TRUE(names.count("ecnn.warm_skip"));
-}
-
-TEST(Tracer, PipelineResultsAreBitwiseIdenticalWithTelemetryOn) {
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  const auto net = two_stage_net();
-  std::vector<event::EventStream> inputs;
-  for (std::uint64_t s = 0; s < 4; ++s)
-    inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 800 + s));
-  const auto run_pipe = [&] {
-    serve::PipelineOptions po;
-    po.stages = 2;
-    po.memory_words = 1u << 20;
-    po.weight_resident = false;  // strict tier: reprogram every request
-    serve::PipelineDeployment deployment(hw, net, po);
-    return deployment.run(inputs);
-  };
-  const auto ref = run_pipe();
-  std::vector<NetworkRunStats> got;
-  {
-    obs::Tracer::instance().arm();
-    obs::ScopedProfiling profiling;
-    got = run_pipe();
-    obs::Tracer::instance().disarm();
-  }
-  ASSERT_EQ(ref.size(), got.size());
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    expect_stats_equal(ref[i], got[i]);
 }
 
 TEST(Tracer, SessionChunksAreBitwiseIdenticalWithTelemetryOn) {

@@ -6,11 +6,11 @@
 // program bytes), never on what ran before or where the run executes. That
 // makes stalled results as reproducible as stall-free ones:
 //
-//   * results are invariant across pipeline stage counts and batch worker
-//     counts, and equal to the serial fresh-engine reference — the
-//     decomposition of a network into engines stops being observable;
-//   * every front-end (PipelineDeployment, BatchRunner, warm NetworkRunner,
-//     InferenceServer, StreamingSession) accepts stall_probability > 0;
+//   * results are invariant across batch worker counts, and equal to the
+//     serial fresh-engine reference — which engine runs a sample stops
+//     being observable;
+//   * every front-end (BatchRunner, warm NetworkRunner, InferenceServer,
+//     StreamingSession) accepts stall_probability > 0;
 //   * warm runs keep the relaxed-tier arithmetic identity exactly, because
 //     the skipped WLOAD programs drew from private streams the sample
 //     programs never observe;
@@ -27,7 +27,6 @@
 #include "ecnn/batch_runner.h"
 #include "ecnn/engine_pool.h"
 #include "ecnn/runner.h"
-#include "serve/pipeline.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -134,47 +133,6 @@ hwsim::ActivityCounters sum(hwsim::ActivityCounters a,
                             const hwsim::ActivityCounters& b) {
   a += b;
   return a;
-}
-
-TEST(RngStreamsTest, PipelineStageCountInvariance) {
-  // The tier's core promise: sharding the network across 1, 2 or 3 pipelined
-  // stage engines never changes a request's bits, even under randomized
-  // contention stalls — every layer's program draws from its own
-  // content-keyed stream no matter which engine hosts it.
-  const QuantizedNetwork net = three_layer_net();
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  std::vector<event::EventStream> inputs;
-  for (std::uint64_t s = 0; s < 3; ++s)
-    inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 640 + s));
-
-  // Serial fresh-engine reference with the same timing.
-  SneEngine engine(hw, 1u << 20, stall_timing());
-  NetworkRunner runner(engine, /*use_wload_stream=*/false);
-  std::vector<NetworkRunStats> ref;
-  for (const auto& in : inputs) {
-    ref.push_back(runner.run(net, in));
-    engine.reset();
-  }
-  {
-    // Stalls actually happen: the same workload without contention finishes
-    // in strictly fewer cycles.
-    SneEngine quiet(hw, 1u << 20);
-    NetworkRunner quiet_runner(quiet, /*use_wload_stream=*/false);
-    ASSERT_GT(ref[0].cycles, quiet_runner.run(net, inputs[0]).cycles);
-  }
-
-  for (const unsigned stages : {1u, 2u, 3u}) {
-    serve::PipelineOptions po;
-    po.stages = stages;
-    po.memory_words = 1u << 20;
-    po.mem_timing = stall_timing();
-    po.weight_resident = false;  // strict comparison against the cold ref
-    serve::PipelineDeployment deployment(hw, net, po);
-    const auto results = deployment.run(inputs);
-    ASSERT_EQ(results.size(), inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      expect_equivalent(ref[i], results[i]);
-  }
 }
 
 TEST(RngStreamsTest, BatchWorkerCountInvariance) {

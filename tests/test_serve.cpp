@@ -3,8 +3,8 @@
 // The serving contract is strict bitwise determinism: a request's
 // NetworkRunStats depends only on (model, input) — never on which pooled
 // engine ran it, what ran on that engine before, the worker/engine count,
-// the submission order, or whether the network was sharded across pipeline
-// stages. Every test here compares served results against the serial
+// the submission order, or whether weights were host-loaded or streamed
+// over WLOAD. Every test here compares served results against the serial
 // fresh-engine reference (BatchRunner::run_one / NetworkRunner) with the
 // same equality the fast-forward suite uses: cycles, every ActivityCounters
 // field, and exact output event sequences.
@@ -27,7 +27,6 @@
 #include "ecnn/engine_pool.h"
 #include "ecnn/runner.h"
 #include "serve/checkpoint.h"
-#include "serve/pipeline.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "test_util.h"
@@ -446,34 +445,42 @@ TEST(ServerTest, ServedResultsMatchSerialReferenceAnyEngineCountAnyOrder) {
   for (std::uint64_t s = 0; s < 8; ++s)
     inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 500 + s));
 
-  ecnn::BatchOptions bo;
-  bo.memory_words = 1u << 20;
-  ecnn::BatchRunner batch(hw, *registry.get("m"), bo);
-  std::vector<NetworkRunStats> ref;
-  for (const auto& in : inputs) ref.push_back(batch.run_one(in));
+  // Host-loaded and WLOAD-streamed programming: the streamed path runs
+  // extra engine.run()s per pass, and serving must reproduce those too.
+  for (const bool wload : {false, true}) {
+    ecnn::BatchOptions bo;
+    bo.memory_words = 1u << 20;
+    bo.use_wload_stream = wload;
+    ecnn::BatchRunner batch(hw, *registry.get("m"), bo);
+    std::vector<NetworkRunStats> ref;
+    for (const auto& in : inputs) ref.push_back(batch.run_one(in));
+    // Only streamed programming costs engine cycles.
+    ASSERT_EQ(ref[0].programming_cycles > 0, wload);
 
-  for (const unsigned engines : {1u, 2u, 4u}) {
-    serve::ServeOptions so;
-    so.engines = engines;
-    so.memory_words = 1u << 20;
-    so.warm_weights = false;  // strict tier: reprogram every request
-    serve::InferenceServer server(registry, hw, so);
-    // Reversed submission order: completion order and engine assignment are
-    // load-dependent, results must not be.
-    std::vector<serve::Ticket> tickets(inputs.size());
-    for (std::size_t i = inputs.size(); i-- > 0;)
-      tickets[i] = server.submit("m", inputs[i]);
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      expect_equivalent(ref[i], tickets[i].wait());
+    for (const unsigned engines : {1u, 2u, 4u}) {
+      serve::ServeOptions so;
+      so.engines = engines;
+      so.memory_words = 1u << 20;
+      so.warm_weights = false;  // strict tier: reprogram every request
+      so.use_wload_stream = wload;
+      serve::InferenceServer server(registry, hw, so);
+      // Reversed submission order: completion order and engine assignment
+      // are load-dependent, results must not be.
+      std::vector<serve::Ticket> tickets(inputs.size());
+      for (std::size_t i = inputs.size(); i-- > 0;)
+        tickets[i] = server.submit("m", inputs[i]);
+      for (std::size_t i = 0; i < inputs.size(); ++i)
+        expect_equivalent(ref[i], tickets[i].wait());
 
-    const serve::ServerStats st = server.stats();
-    EXPECT_EQ(st.submitted, inputs.size());
-    EXPECT_EQ(st.completed, inputs.size());
-    EXPECT_EQ(st.failed, 0u);
-    EXPECT_EQ(st.engine_leases, inputs.size());
-    EXPECT_LE(st.engines_constructed, engines);
-    EXPECT_GT(st.total_sim_cycles, 0u);
-    EXPECT_GE(st.latency_ms_p99, st.latency_ms_p50);
+      const serve::ServerStats st = server.stats();
+      EXPECT_EQ(st.submitted, inputs.size());
+      EXPECT_EQ(st.completed, inputs.size());
+      EXPECT_EQ(st.failed, 0u);
+      EXPECT_EQ(st.engine_leases, inputs.size());
+      EXPECT_LE(st.engines_constructed, engines);
+      EXPECT_GT(st.total_sim_cycles, 0u);
+      EXPECT_GE(st.latency_ms_p99, st.latency_ms_p50);
+    }
   }
 }
 
@@ -534,95 +541,6 @@ TEST(ServerTest, RequestFailureSurfacesOnTicketNotServer) {
   EXPECT_EQ(st.completed, 1u);
 }
 
-// --- pipelined sharding ------------------------------------------------------
-
-TEST(PipelineTest, ShardedMatchesSerialAtEveryStageCount) {
-  const QuantizedNetwork net = three_layer_net();
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  std::vector<event::EventStream> inputs;
-  for (std::uint64_t s = 0; s < 6; ++s)
-    inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 700 + s));
-
-  // Serial reference: one engine, whole network, fresh per sample.
-  std::vector<NetworkRunStats> ref;
-  for (const auto& in : inputs) {
-    SneEngine engine(hw, 1u << 20);
-    NetworkRunner runner(engine, /*use_wload_stream=*/false);
-    ref.push_back(runner.run(net, in));
-  }
-
-  for (const unsigned stages : {1u, 2u, 3u}) {
-    serve::PipelineOptions po;
-    po.stages = stages;
-    po.memory_words = 1u << 20;
-    po.weight_resident = false;  // strict tier: reprogram every request
-    serve::PipelineDeployment deployment(hw, net, po);
-    EXPECT_EQ(deployment.stages(), stages);
-    // Contiguous cover of the layer list.
-    std::size_t expect_first = 0;
-    for (const auto& [first, last] : deployment.stage_ranges()) {
-      EXPECT_EQ(first, expect_first);
-      EXPECT_LT(first, last);
-      expect_first = last;
-    }
-    EXPECT_EQ(expect_first, net.layers.size());
-
-    const auto results = deployment.run(inputs);
-    ASSERT_EQ(results.size(), inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      expect_equivalent(ref[i], results[i]);
-  }
-}
-
-TEST(PipelineTest, ConcurrentRequestsStreamThroughStages) {
-  const QuantizedNetwork net = three_layer_net();
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  serve::PipelineOptions po;
-  po.stages = 3;
-  po.queue_capacity = 2;
-  po.memory_words = 1u << 20;
-  po.weight_resident = false;  // strict tier
-  serve::PipelineDeployment deployment(hw, net, po);
-
-  SneEngine engine(hw, 1u << 20);
-  NetworkRunner runner(engine, /*use_wload_stream=*/false);
-
-  std::vector<event::EventStream> inputs;
-  std::vector<serve::Ticket> tickets;
-  for (std::uint64_t s = 0; s < 5; ++s) {
-    inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 800 + s));
-    tickets.push_back(deployment.submit(inputs.back()));
-  }
-  // Wait out of order; each result must still match its own sample.
-  for (std::size_t i = tickets.size(); i-- > 0;)
-    expect_equivalent(runner.run(net, inputs[i]), tickets[i].wait());
-}
-
-TEST(PipelineTest, WloadStreamProgrammingMatchesSerial) {
-  // The streamed WLOAD path runs extra engine.run()s per pass; sharding
-  // must reproduce those bit for bit too.
-  QuantizedNetwork net;
-  net.layers.push_back(conv_layer(1, 16, 4, 4, 41));
-  net.layers.push_back(pool_layer(4, 16));
-  const SneConfig hw = SneConfig::paper_design_point(1);
-  const auto in = data::random_stream({1, 16, 16, 8}, 0.06, 900);
-
-  SneEngine engine(hw, 1u << 20);
-  NetworkRunner runner(engine, /*use_wload_stream=*/true);
-  const NetworkRunStats ref = runner.run(net, in);
-  ASSERT_GT(ref.total.weight_load_beats, 0u);
-
-  serve::PipelineOptions po;
-  po.stages = 2;
-  po.use_wload_stream = true;
-  po.memory_words = 1u << 20;
-  po.weight_resident = false;  // strict tier
-  serve::PipelineDeployment deployment(hw, net, po);
-  const auto results = deployment.run({in});
-  ASSERT_EQ(results.size(), 1u);
-  expect_equivalent(ref, results[0]);
-}
-
 // --- weight-resident (warm) serving ------------------------------------------
 //
 // The relaxed equality tier: a warm run's outputs, spikes and
@@ -673,6 +591,22 @@ TEST(WarmRunTest, WarmRunsObeyRelaxedTier) {
         if (wload) {
           EXPECT_GT(ref.programming.weight_load_beats, 0u);
         }
+      }
+
+      // Deploy-time programming: program_layer installs and tags passes
+      // without consuming input, so even the first request can run warm.
+      SneEngine primed(hw, 1u << 20);
+      NetworkRunner primed_runner(primed, wload);
+      for (std::size_t li = 0; li < net.layers.size(); ++li)
+        primed_runner.program_layer(net.layers[li], in.geometry().timesteps,
+                                    fp, li);
+      primed.reset_machine_state();
+      const NetworkRunStats first_primed =
+          primed_runner.run(net, in, event::FirePolicy::kActiveStepsOnly, fp);
+      expect_warm_equivalent(ref, first_primed);
+      if (!multi_layer) {
+        EXPECT_EQ(first_primed.passes_warm, first_primed.passes_total);
+        EXPECT_EQ(first_primed.cycles, second.cycles);
       }
     }
   }
@@ -802,78 +736,6 @@ TEST(ServerTest, WarmServingEliminatesWloadStreamingSteadyState) {
   const serve::ServerStats st = server.stats();
   EXPECT_EQ(st.passes_warm,
             st.passes_total - ref[0].passes_total);  // all but request 0
-}
-
-TEST(PipelineTest, WarmStagesObeyRelaxedTierAtEveryStageCount) {
-  const QuantizedNetwork net = three_layer_net();
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  std::vector<event::EventStream> inputs;
-  for (std::uint64_t s = 0; s < 5; ++s)
-    inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 720 + s));
-
-  std::vector<NetworkRunStats> ref;
-  for (const auto& in : inputs) {
-    SneEngine engine(hw, 1u << 20);
-    NetworkRunner runner(engine, /*use_wload_stream=*/false);
-    ref.push_back(runner.run(net, in));
-  }
-
-  for (const unsigned stages : {1u, 2u, 3u}) {
-    for (const std::uint16_t warmup : {std::uint16_t{0}, std::uint16_t{10}}) {
-      serve::PipelineOptions po;  // weight_resident defaults on
-      po.stages = stages;
-      po.memory_words = 1u << 20;
-      po.warmup_timesteps = warmup;  // 10 == the inputs' timestep count
-      serve::PipelineDeployment deployment(hw, net, po);
-      const auto results = deployment.run(inputs);
-      ASSERT_EQ(results.size(), inputs.size());
-      for (std::size_t i = 0; i < inputs.size(); ++i)
-        expect_warm_equivalent(ref[i], results[i]);
-      if (stages == 3) {
-        // One single-round layer per stage: once programmed (request 0, or
-        // deploy time with eager warmup) every request is fully resident.
-        const auto& last = results.back();
-        EXPECT_EQ(last.passes_warm, last.passes_total);
-        EXPECT_TRUE(last.programming == hwsim::ActivityCounters{});
-        if (warmup > 0) {
-          EXPECT_EQ(results.front().passes_warm, results.front().passes_total)
-              << "deploy-time warmup must cover the first request";
-        }
-      }
-    }
-  }
-}
-
-TEST(PipelineTest, WarmWloadStagesMatchRelaxedTier) {
-  QuantizedNetwork net;
-  net.layers.push_back(conv_layer(1, 16, 4, 4, 41));
-  net.layers.push_back(pool_layer(4, 16));
-  const SneConfig hw = SneConfig::paper_design_point(1);
-  std::vector<event::EventStream> inputs;
-  for (std::uint64_t s = 0; s < 3; ++s)
-    inputs.push_back(data::random_stream({1, 16, 16, 8}, 0.06, 930 + s));
-
-  std::vector<NetworkRunStats> ref;
-  for (const auto& in : inputs) {
-    SneEngine engine(hw, 1u << 20);
-    NetworkRunner runner(engine, /*use_wload_stream=*/true);
-    ref.push_back(runner.run(net, in));
-  }
-  ASSERT_GT(ref[0].programming.weight_load_beats, 0u);
-
-  serve::PipelineOptions po;
-  po.stages = 2;
-  po.use_wload_stream = true;
-  po.memory_words = 1u << 20;
-  po.warmup_timesteps = 8;
-  serve::PipelineDeployment deployment(hw, net, po);
-  const auto results = deployment.run(inputs);
-  ASSERT_EQ(results.size(), inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    expect_warm_equivalent(ref[i], results[i]);
-    EXPECT_EQ(results[i].passes_warm, results[i].passes_total)
-        << "request " << i;
-  }
 }
 
 TEST(RegistryTest, RepointUnderLoadKeepsServingTheResolvedSnapshot) {

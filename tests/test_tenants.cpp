@@ -228,14 +228,22 @@ TEST(FairSchedulerTest, SingleTenantDegeneratesToFifo) {
                                 std::nullopt, false);
     ASSERT_EQ(out.status, FairScheduler<int>::PushStatus::kAccepted);
   }
+  // Closing refuses new pushes but still drains everything accepted, in
+  // order, before pops report kClosed: shutdown drops no admitted request.
+  sched.close();
+  EXPECT_EQ(
+      sched.push(serve::kDefaultTenant, 99, 0, std::nullopt, false).status,
+      FairScheduler<int>::PushStatus::kClosed);
+  FairScheduler<int>::Popped p;
   for (int i = 0; i < 20; ++i) {
-    FairScheduler<int>::Popped p;
     ASSERT_EQ(sched.pop_for(std::chrono::milliseconds(100), p),
               FairScheduler<int>::PopStatus::kItem);
     EXPECT_EQ(p.item, i);
     sched.on_done(p.tenant, {});
   }
   EXPECT_TRUE(sched.drained());
+  EXPECT_EQ(sched.pop_for(std::chrono::milliseconds(5), p),
+            FairScheduler<int>::PopStatus::kClosed);
 }
 
 TEST(FairSchedulerTest, PriorityDisplacementNeverCrossesTenants) {
