@@ -410,9 +410,9 @@ BENCHMARK(BM_TrainerEpoch)
 //   7 = multi-tenant-skew: four tenants with Zipf weights (8/4/2/1) and a
 //       matching skewed request mix, under the same seeded 8% dispatch
 //       chaos as mode 6. This prices the weighted-fair front door
-//       (FairScheduler: DRR dispatch, per-tenant ledgers, breaker gates on
-//       every admission) against mode 6's single-FIFO chaos baseline and
-//       mode 1's clean one.
+//       (FairScheduler: DRR dispatch and per-tenant ledgers on every
+//       admission) against mode 6's single-FIFO chaos baseline and mode 1's
+//       clean one.
 //
 // Network gateway mode (mode 7's workload over real sockets):
 //   8 = gateway-loopback: the same four Zipf-weighted tenants, skewed mix
@@ -520,7 +520,7 @@ void BM_ServeThroughput(benchmark::State& state) {
   serve::InferenceServer server(registry, hw, so);
   // Zipf-weighted tenants with a matching skewed request mix: the hot
   // tenant holds more than half the traffic AND more than half the fair
-  // share, so the DRR ring, ledger updates, and breaker gates all run hot.
+  // share, so the DRR ring and the ledger updates run hot.
   static constexpr unsigned kTenantOf[12] = {0, 0, 0, 0, 0, 0,
                                              1, 1, 1, 2, 2, 3};
   static const std::string kTenantName[4] = {"t0", "t1", "t2", "t3"};

@@ -133,6 +133,9 @@ PROM_REQUIRED_BENCH = (
 )
 PROM_REQUIRED_GATEWAY = (
     r'^sne_tenant_[a-z_]+\{[^}]*tenant="',
+    # The per-tenant overload ledger: why a lane's requests were refused.
+    r'^sne_tenant_rejected_total\{[^}]*tenant="',
+    r'^sne_tenant_evicted_total\{[^}]*tenant="',
     r'^sne_server_submitted_total',
     r'^sne_gateway_connections_accepted_total',
     r'^sne_gateway_connections_open',

@@ -43,7 +43,8 @@
 //
 // Error mapping (the serve-layer taxonomy surfaced as HTTP):
 //   DeadlineExceeded         504   X-Sne-Timeout-Ms budget burned
-//   TenantOverload           503 + Retry-After (breaker open, session quota)
+//   TenantOverload           503 + Retry-After (queue displacement,
+//                                  tenant eviction, session quota)
 //   try_submit queue-full    503 + Retry-After
 //   DispatchRefused          503 + Retry-After (session FIFO full, chunk
 //                                  refused by a full tenant queue, every

@@ -52,9 +52,6 @@ void publish_server_stats(MetricsRegistry& reg, const serve::ServerStats& s,
               "dispatch retry attempts", s.retried);
   set_counter(reg, "sne_server_evicted_total", base,
               "queued requests displaced by shedding or eviction", s.evicted);
-  set_counter(reg, "sne_server_breaker_rejected_total", base,
-              "requests answered fast by an open circuit breaker",
-              s.breaker_rejected);
   set_counter(reg, "sne_server_sim_cycles_total", base,
               "simulated engine cycles over completed requests",
               s.total_sim_cycles);
@@ -106,15 +103,6 @@ void publish_server_stats(MetricsRegistry& reg, const serve::ServerStats& s,
                 "dispatch retries", t.retried);
     set_counter(reg, "sne_tenant_evicted_total", tl,
                 "queued requests displaced", t.evicted);
-    set_counter(reg, "sne_tenant_breaker_rejected_total", tl,
-                "breaker fast-rejects", t.breaker_rejected);
-    set_counter(reg, "sne_tenant_breaker_trips_total", tl,
-                "closed-to-open breaker transitions", t.breaker_trips);
-    set_counter(reg, "sne_tenant_breaker_probes_total", tl,
-                "half-open probe dispatches", t.breaker_probes);
-    set_gauge(reg, "sne_tenant_breaker_open", tl,
-              "1 when the tenant's circuit breaker is not closed",
-              t.breaker == serve::BreakerState::kClosed ? 0.0 : 1.0);
     set_gauge(reg, "sne_tenant_queue_depth", tl, "queued requests",
               static_cast<double>(t.queue_depth));
     set_gauge(reg, "sne_tenant_peak_queue_depth", tl, "high-water queue depth",

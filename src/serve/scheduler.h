@@ -11,21 +11,10 @@
 // Overload control is *per tenant* and never crosses tenant boundaries:
 //
 //   - Quota shedding: a push into a full tenant queue first tries to
-//     displace one of that tenant's own queued entries — the oldest entry
-//     already past its deadline, else the oldest entry of strictly lower
-//     priority than the incoming one. Displaced entries are handed back to
-//     the caller (who fails their tickets); another tenant's traffic is
-//     never touched.
-//
-//   - Circuit breaker: `breaker_failure_threshold` consecutive dispatch
-//     failures trip the tenant into reject-fast mode (kOpen) — pushes are
-//     answered immediately without queuing. While open, every
-//     `breaker_probe_interval`-th admission attempt is let through as a
-//     probe (kHalfOpen while it is in flight; other pushes keep rejecting).
-//     A successful completion closes the breaker, a failed probe reopens
-//     it. Transitions are driven by counted events only — no wall-clock —
-//     so seeded fault storms trip and recover deterministically
-//     (tests/test_tenants.cpp pins the exact sequence).
+//     displace the oldest of that tenant's own queued entries already past
+//     its deadline. Displaced entries are handed back to the caller (who
+//     fails their tickets); another tenant's traffic is never touched.
+//     With nothing expired to displace, the push reports the queue full.
 //
 //   - SLO stats: per-tenant submitted/completed/failed/shed/expired ledger,
 //     queue depth + head-of-line age, and a bounded latency reservoir
@@ -36,6 +25,7 @@
 // stays pinned to the serial reference (the server's contract).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <condition_variable>
@@ -65,22 +55,11 @@ struct TenantConfig {
   /// Bounded queue quota; a push beyond it sheds within the tenant (see
   /// header comment) or reports overload.
   std::size_t max_queue = 64;
-  /// Cap on this tenant's requests concurrently dispatched to engines
-  /// (0 = no cap). A capped tenant forfeits its round-robin turn instead of
-  /// blocking the ring.
-  unsigned max_inflight = 0;
-  /// Consecutive dispatch failures that trip the circuit breaker
-  /// (0 = breaker disabled).
-  unsigned breaker_failure_threshold = 0;
-  /// While open, every Nth admission attempt probes the backend.
-  unsigned breaker_probe_interval = 8;
   /// Cap on concurrently open streaming sessions (0 = no cap).
   unsigned max_sessions = 0;
 
   void validate() const;
 };
-
-enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
 /// Three-way tenant lookup answer: the gateway needs to distinguish a name
 /// that was never registered (its 401/ConfigError path) from one that was
@@ -89,9 +68,9 @@ enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 enum class TenantPresence : std::uint8_t { kUnknown, kActive, kEvicted };
 
 /// Answer given to traffic the overload-control policy refuses to run:
-/// breaker reject-fast, quota displacement, tenant eviction, or a session
-/// quota. Distinct from DeadlineExceeded (the *request's* budget ran out)
-/// and ConfigError (caller mistakes) so clients can branch on "back off".
+/// quota displacement, tenant eviction, or a session quota. Distinct from
+/// DeadlineExceeded (the *request's* budget ran out) and ConfigError
+/// (caller mistakes) so clients can branch on "back off".
 class TenantOverload : public std::runtime_error {
  public:
   explicit TenantOverload(const std::string& what)
@@ -124,12 +103,6 @@ struct TenantStats {
   /// Queued entries displaced by same-tenant overload shedding or tenant
   /// eviction (sub-count of failed).
   std::uint64_t evicted = 0;
-  /// Breaker ledger: reject-fast answers are never admitted (not counted in
-  /// submitted); trips count kClosed -> kOpen transitions.
-  std::uint64_t breaker_rejected = 0;
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t breaker_probes = 0;
-  BreakerState breaker = BreakerState::kClosed;
   std::size_t queue_depth = 0;
   std::size_t peak_queue_depth = 0;
   unsigned inflight = 0;
@@ -151,23 +124,13 @@ struct TenantStats {
 
 namespace detail {
 
-/// Non-template half of a tenant: the SLO ledger and the circuit breaker.
+/// Non-template half of a tenant: the SLO ledger.
 /// All methods run under the owning scheduler's lock.
 class TenantCore {
  public:
   explicit TenantCore(std::string name, TenantConfig cfg);
 
   const TenantConfig& cfg() const { return cfg_; }
-
-  enum class Gate { kAdmit, kProbe, kReject };
-  /// Breaker admission decision for one push attempt (counts its ledger).
-  Gate admission_gate();
-
-  enum class Outcome { kSuccess, kFailure, kNeutral };
-  /// Breaker transition for a finished dispatch. kNeutral (queue expiry —
-  /// the backend was never exercised) leaves the failure streak untouched;
-  /// a neutral *probe* returns the breaker to kOpen unresolved.
-  void note_breaker_outcome(Outcome o, bool probe);
 
   // Ledger (queue-side counts are maintained by the scheduler).
   void note_submitted() { ++submitted_; }
@@ -199,8 +162,7 @@ class TenantCore {
   /// Per-tenant drain invariant: everything admitted has been answered.
   bool drained() const { return completed_ + failed_ == submitted_; }
 
-  /// Counter/breaker part of the stats snapshot (queue fields are the
-  /// scheduler's).
+  /// Counter part of the stats snapshot (queue fields are the scheduler's).
   void snapshot(TenantStats& out) const;
 
  private:
@@ -226,13 +188,6 @@ class TenantCore {
   std::vector<double> latencies_ms_;
   std::uint64_t latency_seen_ = 0;
   std::uint64_t latency_rng_ = 0;  ///< splitmix64 state (one draw per update)
-  // Breaker.
-  BreakerState breaker_ = BreakerState::kClosed;
-  unsigned consecutive_failures_ = 0;
-  std::uint64_t open_attempts_ = 0;  ///< admission attempts since last trip
-  std::uint64_t breaker_rejected_ = 0;
-  std::uint64_t breaker_trips_ = 0;
-  std::uint64_t breaker_probes_ = 0;
 };
 
 }  // namespace detail
@@ -282,11 +237,9 @@ class FairScheduler {
     kFull,           ///< quota exhausted with nothing sheddable (or timeout)
     kClosed,         ///< scheduler shut down
     kUnknownTenant,  ///< unregistered or evicted tenant
-    kRejectFast,     ///< circuit breaker answered without queuing
   };
   struct PushOutcome {
     PushStatus status = PushStatus::kClosed;
-    bool probe = false;       ///< admitted as a breaker probe
     std::vector<T> displaced; ///< same-tenant entries shed to make room
   };
 
@@ -294,7 +247,7 @@ class FairScheduler {
   /// and nothing can be displaced — but never past `deadline` (the
   /// request's own budget; nullopt = wait forever), so a blocking submit
   /// cannot sleep longer than the request could still be useful.
-  PushOutcome push(const std::string& tenant, T item, int priority,
+  PushOutcome push(const std::string& tenant, T item,
                    std::optional<std::chrono::steady_clock::time_point>
                        deadline,
                    bool block) {
@@ -310,17 +263,6 @@ class FairScheduler {
       return out;
     }
     TenantState& t = *it->second;  // map entries are never erased: stable
-    // Breaker gate: exactly one admission attempt per push call.
-    switch (t.core.admission_gate()) {
-      case detail::TenantCore::Gate::kReject:
-        out.status = PushStatus::kRejectFast;
-        return out;
-      case detail::TenantCore::Gate::kProbe:
-        out.probe = true;
-        break;
-      case detail::TenantCore::Gate::kAdmit:
-        break;
-    }
     for (;;) {
       if (closed_) {
         out.status = PushStatus::kClosed;
@@ -331,7 +273,7 @@ class FairScheduler {
         return out;
       }
       if (t.q.size() >= t.core.cfg().max_queue &&
-          !displace_one_locked(t, priority, out.displaced)) {
+          !displace_one_locked(t, out.displaced)) {
         if (!block) {
           t.core.note_rejected();
           out.status = PushStatus::kFull;
@@ -354,10 +296,8 @@ class FairScheduler {
       }
       Entry e;
       e.item = std::move(item);
-      e.priority = priority;
       e.deadline = deadline;
       e.enqueued_at = std::chrono::steady_clock::now();
-      e.probe = out.probe;
       t.q.push_back(std::move(e));
       t.core.note_submitted();
       if (t.q.size() > t.peak) t.peak = t.q.size();
@@ -378,24 +318,20 @@ class FairScheduler {
   struct Popped {
     T item{};
     std::string tenant;
-    bool probe = false;
   };
 
-  /// Deficit-round-robin dispatch across serveable tenants (non-empty queue,
-  /// inflight below cap). kTimeout returns control for housekeeping;
-  /// kClosed = closed and fully drained. A popped item counts against the
-  /// tenant's inflight until on_done().
+  /// Deficit-round-robin dispatch across tenants with queued work. kTimeout
+  /// returns control for housekeeping; kClosed = closed and fully drained.
+  /// A popped item counts in the tenant's inflight until on_done().
   PopStatus pop_for(std::chrono::nanoseconds timeout, Popped& out) {
     std::unique_lock<std::mutex> lk(m_);
     if (!item_cv_.wait_for(lk, timeout, [this] {
-          return closed_ || serveable_locked() != nullptr;
+          return closed_ || depth_ != 0;
         }))
       return PopStatus::kTimeout;
     TenantState* t = serve_next_locked();
-    if (t == nullptr) {
-      if (closed_ && depth_ == 0) return PopStatus::kClosed;
-      return PopStatus::kTimeout;  // closed but another pop raced the drain
-    }
+    if (t == nullptr)  // woken by close() with nothing left to drain
+      return closed_ ? PopStatus::kClosed : PopStatus::kTimeout;
     Entry e = std::move(t->q.front());
     t->q.pop_front();
     --depth_;
@@ -403,34 +339,27 @@ class FairScheduler {
     if (t->q.empty()) remove_from_ring_locked(*t);
     out.item = std::move(e.item);
     out.tenant = t->name;
-    out.probe = e.probe;
     lk.unlock();
     space_cv_.notify_all();
     return PopStatus::kItem;
   }
 
-  using Outcome = detail::TenantCore::Outcome;
-  /// Completion record for a popped item (releases its inflight slot).
+  /// Completion record for a popped item (releases its inflight count).
   struct DoneRecord {
-    Outcome outcome = Outcome::kSuccess;  ///< breaker signal
-    bool probe = false;                   ///< Popped::probe passthrough
+    bool ok = true;
     bool expired = false;  ///< failed on a burned deadline, never dispatched
     std::uint64_t cycles = 0;
     double latency_ms = 0.0;
   };
   void on_done(const std::string& tenant, const DoneRecord& r) {
-    std::unique_lock<std::mutex> lk(m_);
+    std::lock_guard<std::mutex> lk(m_);
     TenantState* t = find_locked(tenant);
     if (t == nullptr) return;
     if (t->inflight > 0) --t->inflight;
-    t->core.note_breaker_outcome(r.outcome, r.probe);
-    if (r.outcome == Outcome::kSuccess)
+    if (r.ok)
       t->core.note_completed(r.cycles, r.latency_ms);
     else
       t->core.note_failed(r.expired, r.latency_ms);
-    lk.unlock();
-    // An inflight slot freed: a capped tenant may be serveable now.
-    item_cv_.notify_one();
   }
 
   // Ledger passthroughs (events the scheduler doesn't see itself).
@@ -547,10 +476,8 @@ class FairScheduler {
  private:
   struct Entry {
     T item{};
-    int priority = 0;
     std::optional<std::chrono::steady_clock::time_point> deadline;
     std::chrono::steady_clock::time_point enqueued_at;
-    bool probe = false;
   };
 
   struct TenantState {
@@ -575,36 +502,14 @@ class FairScheduler {
     return it == tenants_.end() ? nullptr : it->second.get();
   }
 
-  static bool capped(const TenantState& t) {
-    const unsigned cap = t.core.cfg().max_inflight;
-    return cap != 0 && t.inflight >= cap;
-  }
-
-  /// Any tenant with queued work and a free inflight slot?
-  TenantState* serveable_locked() const {
-    for (TenantState* t : ring_)
-      if (!t->q.empty() && !capped(*t)) return t;
-    return nullptr;
-  }
-
   /// DRR: serve the front tenant until its quantum (weight) is spent, then
   /// rotate. Empty tenants leave the ring (deficit dropped — re-activation
-  /// starts a fresh round at the back); capped tenants forfeit their turn.
+  /// starts a fresh round at the back).
   TenantState* serve_next_locked() {
-    // Empty tenants shrink the ring (terminating); capped tenants rotate at
-    // most once each before we conclude nothing is serveable.
-    std::size_t rotations = 0;
-    while (!ring_.empty() && rotations < ring_.size()) {
+    while (!ring_.empty()) {
       TenantState* t = ring_.front();
       if (t->q.empty()) {
         remove_from_ring_locked(*t);
-        continue;
-      }
-      if (capped(*t)) {
-        ring_.pop_front();
-        ring_.push_back(t);
-        t->deficit = 0;
-        ++rotations;
         continue;
       }
       if (t->deficit == 0) t->deficit = t->core.cfg().weight;
@@ -629,25 +534,16 @@ class FairScheduler {
     t.deficit = 0;
   }
 
-  /// Quota shedding: displace one of `t`'s own queued entries to admit an
-  /// incoming push of `priority` — the oldest entry past its deadline,
-  /// else the oldest entry of the lowest priority strictly below the
-  /// incoming one. Returns whether a slot was freed.
-  bool displace_one_locked(TenantState& t, int priority,
-                           std::vector<T>& displaced) {
+  /// Quota shedding: displace the oldest of `t`'s own queued entries past
+  /// its deadline to admit an incoming push. Returns whether a slot was
+  /// freed.
+  bool displace_one_locked(TenantState& t, std::vector<T>& displaced) {
     const auto now = std::chrono::steady_clock::now();
-    auto victim = t.q.end();
-    for (auto it = t.q.begin(); it != t.q.end(); ++it)
-      if (it->deadline && now >= *it->deadline) {
-        victim = it;
-        break;  // deque order is age order: first hit is the oldest
-      }
-    if (victim == t.q.end()) {
-      for (auto it = t.q.begin(); it != t.q.end(); ++it)
-        if (it->priority < priority &&
-            (victim == t.q.end() || it->priority < victim->priority))
-          victim = it;  // lowest priority; ties keep the earlier (older)
-    }
+    // Deque order is age order: the first expired entry is the oldest.
+    const auto victim =
+        std::find_if(t.q.begin(), t.q.end(), [now](const Entry& e) {
+          return e.deadline && now >= *e.deadline;
+        });
     if (victim == t.q.end()) return false;
     displaced.push_back(std::move(victim->item));
     t.q.erase(victim);

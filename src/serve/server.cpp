@@ -21,14 +21,6 @@ double percentile(const std::vector<double>& sorted, double q) {
   return sorted[rank - 1];
 }
 
-/// The default tenant inherits the pre-tenant server's single-FIFO quota.
-TenantConfig default_tenant_cfg(const ServeOptions& opts) {
-  TenantConfig cfg;
-  cfg.weight = 1;
-  cfg.max_queue = opts.queue_capacity;
-  return cfg;
-}
-
 }  // namespace
 
 InferenceServer::InferenceServer(const ModelRegistry& registry,
@@ -41,7 +33,7 @@ InferenceServer::InferenceServer(const ModelRegistry& registry,
                                     opts.use_wload_stream,
                                     /*max_engines=*/opts.engines,
                                     /*weight_resident=*/opts.warm_weights}),
-      sched_(default_tenant_cfg(opts)),
+      sched_(TenantConfig{}),
       started_at_(std::chrono::steady_clock::now()) {
   hw_.validate();
   if (opts_.engines == 0) throw ConfigError("server needs at least one engine");
@@ -188,7 +180,6 @@ InferenceServer::Request InferenceServer::make_request(
   req.submitted_at = std::chrono::steady_clock::now();
   req.deadline = ropts.deadline;
   req.tenant = ropts.tenant;
-  req.priority = ropts.priority;
   {
     std::lock_guard<std::mutex> lk(stats_m_);
     req.ticket->id = next_id_++;
@@ -249,11 +240,10 @@ InferenceServer::Admission InferenceServer::admit(Request req, bool block) {
     ++submitted_;
   }
   const std::string tenant = req.tenant;
-  const int priority = req.priority;
   const auto deadline = req.deadline;
   const auto submitted_at = req.submitted_at;
   const auto ticket = req.ticket;
-  auto out = sched_.push(tenant, std::move(req), priority, deadline, block);
+  auto out = sched_.push(tenant, std::move(req), deadline, block);
   fail_displaced(std::move(out.displaced),
                  "shed under overload: displaced by a newer request");
   if (out.status == FairScheduler<Request>::PushStatus::kAccepted)
@@ -261,19 +251,11 @@ InferenceServer::Admission InferenceServer::admit(Request req, bool block) {
   {
     std::lock_guard<std::mutex> lk(stats_m_);
     --submitted_;
-    switch (out.status) {
-      case FairScheduler<Request>::PushStatus::kFull:
-        // Blocking: the wait for queue space timed out on the request's
-        // own deadline — a shed. Non-blocking: genuine overload (the
-        // scheduler booked the tenant-side rejection).
-        ++(block ? shed_ : rejected_);
-        break;
-      case FairScheduler<Request>::PushStatus::kRejectFast:
-        ++breaker_rejected_;
-        break;
-      default:
-        break;
-    }
+    // Blocking: the wait for queue space timed out on the request's own
+    // deadline — a shed. Non-blocking: genuine overload (the scheduler
+    // booked the tenant-side rejection).
+    if (out.status == FairScheduler<Request>::PushStatus::kFull)
+      ++(block ? shed_ : rejected_);
   }
   drained_cv_.notify_all();
   switch (out.status) {
@@ -283,12 +265,6 @@ InferenceServer::Admission InferenceServer::admit(Request req, bool block) {
       ticket->fail(std::make_exception_ptr(DeadlineExceeded(
                        "shed at admission: deadline passed while blocked on "
                        "tenant '" + tenant + "' queue")),
-                   ms_since(submitted_at));
-      return Admission::kAnswered;
-    case FairScheduler<Request>::PushStatus::kRejectFast:
-      ticket->fail(std::make_exception_ptr(TenantOverload(
-                       "circuit open for tenant '" + tenant +
-                       "': rejecting fast until a probe succeeds")),
                    ms_since(submitted_at));
       return Admission::kAnswered;
     case FairScheduler<Request>::PushStatus::kClosed:
@@ -332,7 +308,7 @@ void InferenceServer::worker_loop() {
       case FairScheduler<Request>::PopStatus::kClosed:
         return;  // closed and drained
       case FairScheduler<Request>::PopStatus::kItem:
-        process(p.item, p.tenant, p.probe);
+        process(p.item, p.tenant);
         break;
     }
     sweep_sessions();
@@ -354,8 +330,7 @@ void InferenceServer::sweep_sessions() {
                   sessions_.end());
 }
 
-void InferenceServer::process(Request& req, const std::string& tenant,
-                              bool probe) {
+void InferenceServer::process(Request& req, const std::string& tenant) {
   // Request lifecycle spans, all correlated by the ticket id: the queue wait
   // (submit -> this DRR grant), then one span over dispatch + simulation +
   // settling, with the engine-side spans (pool lease, layer program/warm
@@ -439,23 +414,12 @@ void InferenceServer::process(Request& req, const std::string& tenant,
       if (j < kLatencyReservoir) latencies_ms_[j] = lat_ms;
     }
   }
-  // Settle the tenant's ledger (and its breaker) before answering the
-  // ticket, so a waiter observes its own completion in stats(). Queue
-  // expiries are breaker-neutral: they say nothing about backend health.
+  // Settle the tenant's ledger before answering the ticket, so a waiter
+  // observes its own completion in stats().
   obs::ScopedSpan settle_span("serve.settle", obs::trace_key(tenant));
-  FairScheduler<Request>::DoneRecord dr;
-  dr.probe = probe;
-  dr.latency_ms = lat_ms;
-  if (!error) {
-    dr.outcome = FairScheduler<Request>::Outcome::kSuccess;
-    dr.cycles = result.cycles;
-  } else if (deadline_expired) {
-    dr.outcome = FairScheduler<Request>::Outcome::kNeutral;
-    dr.expired = true;
-  } else {
-    dr.outcome = FairScheduler<Request>::Outcome::kFailure;
-  }
-  sched_.on_done(tenant, dr);
+  sched_.on_done(tenant, {/*ok=*/!error, /*expired=*/deadline_expired,
+                          /*cycles=*/error ? 0 : result.cycles,
+                          /*latency_ms=*/lat_ms});
   if (error)
     req.ticket->fail(error, lat_ms);
   else
@@ -482,7 +446,6 @@ ServerStats InferenceServer::stats() const {
     s.expired = expired_;
     s.retried = retried_;
     s.evicted = evicted_;
-    s.breaker_rejected = breaker_rejected_;
     s.total_sim_cycles = total_sim_cycles_;
     s.passes_warm = passes_warm_;
     s.passes_total = passes_total_;

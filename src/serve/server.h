@@ -13,13 +13,12 @@
 // (serve::FairScheduler): each tenant owns a bounded queue and a
 // deficit-round-robin share of the dispatch workers, so one hot tenant can
 // saturate only its own quota — never another tenant's latency. Overload
-// degrades gracefully per tenant: priority-aware shedding inside the
-// tenant's queue, a deterministic circuit breaker that trips the tenant
-// into reject-fast mode on failure storms (and half-opens on a probe
-// cadence), and per-tenant SLO stats (p50/p90/p99, queue age, shed/expired
-// counts) in ServerStats::tenants. Requests that don't name a tenant land
-// on the default tenant, which preserves the single-FIFO semantics and
-// bits of the pre-tenant server.
+// degrades gracefully per tenant: a full queue sheds the tenant's own
+// expired entries first and otherwise refuses, and per-tenant SLO stats
+// (p50/p90/p99, queue age, shed/expired/rejected/evicted counts) land in
+// ServerStats::tenants. Requests that don't name a tenant land on the
+// default tenant (a TenantConfig{} quota), which preserves the single-FIFO
+// semantics and bits of the pre-tenant server.
 //
 // Determinism: scheduling policy may reorder and shed, but a request's
 // NetworkRunStats depends only on (model, input) — never on the tenant mix,
@@ -78,10 +77,6 @@ namespace sne::serve {
 
 struct ServeOptions {
   unsigned engines = 2;             ///< dispatch workers == pooled engines
-  /// Default tenant's bounded queue quota (kept for compatibility with the
-  /// single-FIFO server; registered tenants size their own quotas via
-  /// TenantConfig::max_queue).
-  std::size_t queue_capacity = 64;
   /// Weight-resident dispatch (program-once / serve-many): leases carry the
   /// request's model fingerprint, the pool prefers an engine that already
   /// holds the model, and warm runs skip reprogramming resident passes.
@@ -117,12 +112,6 @@ struct RequestOptions {
   /// default tenant or a name registered via register_tenant().
   std::string tenant = kDefaultTenant;
 
-  /// Intra-tenant shedding priority (higher = more important). When the
-  /// tenant's queue is full, an incoming push may displace the tenant's
-  /// oldest expired entry, else its oldest entry of *strictly lower*
-  /// priority. Dispatch order is unaffected (FIFO within the tenant).
-  int priority = 0;
-
   /// Deadline `budget` from now — the common client idiom.
   static RequestOptions within(std::chrono::steady_clock::duration budget) {
     RequestOptions o;
@@ -154,9 +143,6 @@ struct ServerStats {
   /// Queued requests displaced after admission (same-tenant overload
   /// shedding, tenant eviction); sub-count of failed.
   std::uint64_t evicted = 0;
-  /// Requests answered fast by an open circuit breaker (never admitted;
-  /// not counted in submitted).
-  std::uint64_t breaker_rejected = 0;
   std::size_t queue_depth = 0;       ///< across all tenant queues
   std::size_t peak_queue_depth = 0;
   double elapsed_s = 0.0;         ///< since server construction
@@ -214,10 +200,9 @@ class InferenceServer {
   /// Admits a request, blocking while the tenant's queue is full — but
   /// never past the request's own deadline (a timed-out wait sheds with
   /// DeadlineExceeded). Throws ConfigError when the model or tenant is
-  /// unknown or the server is shutting down. Requests the overload policy
-  /// refuses (expired deadline, open circuit breaker) return an
-  /// already-failed ticket (DeadlineExceeded / TenantOverload) without
-  /// touching a queue.
+  /// unknown or the server is shutting down. A request whose deadline has
+  /// already passed returns an already-failed ticket (DeadlineExceeded)
+  /// without touching a queue.
   Ticket submit(const std::string& model, event::EventStream input,
                 RequestOptions ropts = {});
 
@@ -225,8 +210,8 @@ class InferenceServer {
   /// tenant's quota is exhausted with nothing sheddable. Throws ConfigError
   /// when the model or tenant is unknown or the server is shutting down
   /// (shutdown is not overload; retry loops must not spin). Expired
-  /// deadlines and breaker rejections answer like submit() (a returned,
-  /// already-failed ticket — an answer, not overload).
+  /// deadlines answer like submit() (a returned, already-failed ticket —
+  /// an answer, not overload).
   std::optional<Ticket> try_submit(const std::string& model,
                                    event::EventStream input,
                                    RequestOptions ropts = {});
@@ -277,7 +262,6 @@ class InferenceServer {
     std::chrono::steady_clock::time_point submitted_at;
     std::optional<std::chrono::steady_clock::time_point> deadline;
     std::string tenant;
-    int priority = 0;
     /// Set for a session chunk: runs on the session's pinned engine.
     std::shared_ptr<StreamingSession> session;
   };
@@ -286,7 +270,7 @@ class InferenceServer {
                        const RequestOptions& ropts);
   enum class Admission {
     kQueued,    ///< in the tenant's lane; a worker will settle the ticket
-    kAnswered,  ///< refused with the ticket failed (shed, breaker open)
+    kAnswered,  ///< refused with the ticket failed (shed)
     kRefused,   ///< non-blocking push, quota full: ticket untouched
   };
   /// The one admission body (submit, try_submit, session chunks): the
@@ -305,7 +289,7 @@ class InferenceServer {
   /// globally (the scheduler already counted the tenant side).
   void fail_displaced(std::vector<Request> displaced, const char* why);
   void worker_loop();
-  void process(Request& req, const std::string& tenant, bool probe);
+  void process(Request& req, const std::string& tenant);
   /// Closes idle sessions past their heartbeat budget and prunes closed
   /// ones; at most one sweep per 100 ms across all workers.
   void sweep_sessions();
@@ -336,7 +320,6 @@ class InferenceServer {
   std::uint64_t expired_ = 0;
   std::uint64_t retried_ = 0;
   std::uint64_t evicted_ = 0;
-  std::uint64_t breaker_rejected_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t total_sim_cycles_ = 0;
   std::uint64_t passes_warm_ = 0;

@@ -402,23 +402,41 @@ TEST(RetryTest, ExhaustedBudgetFailsTicketAndServerSurvives) {
   so.warm_weights = false;
   so.retry_budget = 2;
   serve::InferenceServer server(registry, SneConfig::paper_design_point(2), so);
+  server.register_tenant("frail", serve::TenantConfig{});
+  serve::RequestOptions ro;
+  ro.tenant = "frail";
   const auto in = data::random_stream({1, 16, 16, 10}, 0.08, 980);
+  const auto frail = [&server] {
+    for (const serve::TenantStats& t : server.stats().tenants)
+      if (t.name == "frail") return t;
+    ADD_FAILURE() << "tenant 'frail' missing from stats";
+    return serve::TenantStats{};
+  };
 
   {
     // Probability 1.0: every dispatch attempt fails; the budget runs out.
     FaultConfig cfg;
     cfg.rules.push_back(FaultRule{"serve.server.dispatch", {}, 1.0, 0.0});
     ScopedFaults chaos(cfg);
-    serve::Ticket t = server.submit("m", in);
+    serve::Ticket t = server.submit("m", in, ro);
     EXPECT_THROW(t.wait(), FaultError);
     const serve::ServerStats st = server.stats();
     EXPECT_EQ(st.failed, 1u);
     EXPECT_EQ(st.retried, 2u);  // exactly the budget, then gave up
     EXPECT_EQ(st.engines_discarded, 3u);  // initial attempt + 2 retries
+    // The failure lands on the submitting tenant's ledger too.
+    const serve::TenantStats ts = frail();
+    EXPECT_EQ(ts.failed, 1u);
+    EXPECT_EQ(ts.retried, 2u);
+    EXPECT_EQ(ts.completed + ts.failed, ts.submitted);
   }
   // Chaos over: the same server serves the same request fine.
-  EXPECT_GT(server.submit("m", in).wait().cycles, 0u);
+  EXPECT_GT(server.submit("m", in, ro).wait().cycles, 0u);
   EXPECT_EQ(server.stats().completed, 1u);
+  const serve::TenantStats ts = frail();
+  EXPECT_EQ(ts.completed, 1u);
+  EXPECT_EQ(ts.failed, 1u);
+  EXPECT_EQ(ts.completed + ts.failed, ts.submitted);
 }
 
 // --- deadlines ---------------------------------------------------------------

@@ -490,18 +490,23 @@ TEST(ServerTest, AdmissionAccountingAndUnknownModels) {
   const SneConfig hw = SneConfig::paper_design_point(2);
   serve::ServeOptions so;
   so.engines = 1;
-  so.queue_capacity = 1;
   so.memory_words = 1u << 20;
   serve::InferenceServer server(registry, hw, so);
+  serve::TenantConfig narrow;
+  narrow.max_queue = 1;
+  server.register_tenant("narrow", narrow);
+  serve::RequestOptions ro;
+  ro.tenant = "narrow";
 
-  EXPECT_THROW(server.submit("nope", data::random_stream({1, 16, 16, 4}, 0.1, 1)),
-               ConfigError);
+  EXPECT_THROW(
+      server.submit("nope", data::random_stream({1, 16, 16, 4}, 0.1, 1), ro),
+      ConfigError);
 
   const auto in = data::random_stream({1, 16, 16, 10}, 0.08, 600);
   std::vector<serve::Ticket> accepted;
   std::uint64_t rejections = 0;
   for (int i = 0; i < 32; ++i) {
-    if (auto t = server.try_submit("m", in))
+    if (auto t = server.try_submit("m", in, ro))
       accepted.push_back(std::move(*t));
     else
       ++rejections;

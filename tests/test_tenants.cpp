@@ -1,6 +1,6 @@
 // Multi-tenant front-door suite: weighted-fair admission (FairScheduler),
-// SLO-aware overload control (priority shedding, circuit breaker), and
-// crash-tolerant streaming sessions (StreamingSession).
+// per-tenant overload control (quota shedding of expired entries, eviction),
+// and crash-tolerant streaming sessions (StreamingSession).
 //
 // The two contracts under test:
 //   - Fairness is policy, results are physics: deficit-round-robin may
@@ -195,7 +195,7 @@ TEST(FairSchedulerTest, DrrSharesAreExactUnderSaturation) {
   using Sched = FairScheduler<std::pair<char, int>>;
   for (int i = 0; i < 70; ++i)
     for (const char t : {'a', 'b', 'c'}) {
-      const auto out = sched.push(std::string(1, t), {t, i}, 0, std::nullopt,
+      const auto out = sched.push(std::string(1, t), {t, i}, std::nullopt,
                                   /*block=*/false);
       ASSERT_EQ(out.status, Sched::PushStatus::kAccepted);
     }
@@ -222,17 +222,15 @@ TEST(FairSchedulerTest, SingleTenantDegeneratesToFifo) {
   TenantConfig base;
   base.max_queue = 64;
   FairScheduler<int> sched(base);
-  // Priorities affect shedding only, never dispatch order.
   for (int i = 0; i < 20; ++i) {
-    const auto out = sched.push(serve::kDefaultTenant, i, /*priority=*/i % 3,
-                                std::nullopt, false);
+    const auto out = sched.push(serve::kDefaultTenant, i, std::nullopt, false);
     ASSERT_EQ(out.status, FairScheduler<int>::PushStatus::kAccepted);
   }
   // Closing refuses new pushes but still drains everything accepted, in
   // order, before pops report kClosed: shutdown drops no admitted request.
   sched.close();
   EXPECT_EQ(
-      sched.push(serve::kDefaultTenant, 99, 0, std::nullopt, false).status,
+      sched.push(serve::kDefaultTenant, 99, std::nullopt, false).status,
       FairScheduler<int>::PushStatus::kClosed);
   FairScheduler<int>::Popped p;
   for (int i = 0; i < 20; ++i) {
@@ -246,110 +244,61 @@ TEST(FairSchedulerTest, SingleTenantDegeneratesToFifo) {
             FairScheduler<int>::PopStatus::kClosed);
 }
 
-TEST(FairSchedulerTest, PriorityDisplacementNeverCrossesTenants) {
+TEST(FairSchedulerTest, DisplacementNeverCrossesTenants) {
   TenantConfig base;
   FairScheduler<int> sched(base);
   TenantConfig small;
   small.max_queue = 3;
   sched.register_tenant("t", small);
-  TenantConfig one;
-  one.max_queue = 1;
-  sched.register_tenant("u", one);
-  using S = FairScheduler<int>;
-
-  ASSERT_EQ(sched.push("u", 99, 0, std::nullopt, false).status,
-            S::PushStatus::kAccepted);
-  for (const int v : {1, 2, 3})
-    ASSERT_EQ(sched.push("t", v, 0, std::nullopt, false).status,
-              S::PushStatus::kAccepted);
-
-  // Higher priority displaces t's own oldest lowest-priority entry...
-  auto out = sched.push("t", 4, 1, std::nullopt, false);
-  EXPECT_EQ(out.status, S::PushStatus::kAccepted);
-  ASSERT_EQ(out.displaced.size(), 1u);
-  EXPECT_EQ(out.displaced[0], 1);
-  // ...equal priority displaces nothing (strictly-lower rule)...
-  EXPECT_EQ(sched.push("t", 5, 0, std::nullopt, false).status,
-            S::PushStatus::kFull);
-  // ...and u's full queue was never a displacement candidate.
-  S::Popped p;
-  ASSERT_EQ(sched.pop_for(std::chrono::milliseconds(100), p),
-            S::PopStatus::kItem);
-  // Ring order is first-activation order: u pushed first.
-  EXPECT_EQ(p.tenant, "u");
-  EXPECT_EQ(p.item, 99);
-  sched.on_done("u", {});
-
-  const auto stats = sched.stats();
-  for (const TenantStats& t : stats) {
-    if (t.name == "t") {
-      EXPECT_EQ(t.evicted, 1u);
-      EXPECT_EQ(t.rejected, 1u);
-    }
-    if (t.name == "u") {
-      EXPECT_EQ(t.evicted, 0u);
-    }
-  }
-}
-
-TEST(FairSchedulerTest, ExpiredEntriesAreDisplacedFirst) {
-  TenantConfig base;
-  base.max_queue = 2;
-  FairScheduler<int> sched(base);
+  TenantConfig pair;
+  pair.max_queue = 2;
+  sched.register_tenant("u", pair);
   using S = FairScheduler<int>;
   const auto past = std::chrono::steady_clock::now() -
                     std::chrono::milliseconds(5);
-  // The expired entry loses its slot even to an equal-priority push (a
-  // plain lower-priority scan would find nothing to shed here).
-  ASSERT_EQ(sched.push(serve::kDefaultTenant, 1, 5, past, false).status,
+  const auto ledger = [&sched](const std::string& name) {
+    for (const TenantStats& ts : sched.stats())
+      if (ts.name == name) return ts;
+    ADD_FAILURE() << "no tenant " << name;
+    return TenantStats{};
+  };
+
+  // u holds a live entry and, behind it, an expired one; t is full of live
+  // entries.
+  ASSERT_EQ(sched.push("u", 98, std::nullopt, false).status,
             S::PushStatus::kAccepted);
-  ASSERT_EQ(sched.push(serve::kDefaultTenant, 2, 5, std::nullopt, false)
-                .status,
-            S::PushStatus::kAccepted);
-  auto out = sched.push(serve::kDefaultTenant, 3, 5, std::nullopt, false);
+  ASSERT_EQ(sched.push("u", 99, past, false).status, S::PushStatus::kAccepted);
+  for (const int v : {1, 2, 3})
+    ASSERT_EQ(sched.push("t", v, std::nullopt, false).status,
+              S::PushStatus::kAccepted);
+
+  // t has nothing of its own to shed, and u's expired entry is never a
+  // displacement candidate for t's push.
+  auto out = sched.push("t", 4, std::nullopt, false);
+  EXPECT_EQ(out.status, S::PushStatus::kFull);
+  EXPECT_TRUE(out.displaced.empty());
+  EXPECT_EQ(ledger("t").rejected, 1u);
+  EXPECT_EQ(ledger("t").evicted, 0u);
+  EXPECT_EQ(ledger("u").evicted, 0u);
+  EXPECT_EQ(ledger("u").queue_depth, 2u);
+
+  // Within u, the expired entry is displaced first — ahead of the older
+  // live entry.
+  out = sched.push("u", 100, std::nullopt, false);
   EXPECT_EQ(out.status, S::PushStatus::kAccepted);
   ASSERT_EQ(out.displaced.size(), 1u);
-  EXPECT_EQ(out.displaced[0], 1);
-}
+  EXPECT_EQ(out.displaced[0], 99);
+  EXPECT_EQ(ledger("u").evicted, 1u);
+  EXPECT_EQ(ledger("t").queue_depth, 3u);
 
-TEST(FairSchedulerTest, InflightCapForfeitsTurnWithoutBlockingTheRing) {
-  TenantConfig base;
-  FairScheduler<int> sched(base);
-  TenantConfig capped;
-  capped.max_inflight = 1;
-  capped.max_queue = 8;
-  sched.register_tenant("x", capped);
-  TenantConfig plain;
-  plain.max_queue = 8;
-  sched.register_tenant("y", plain);
-  using S = FairScheduler<int>;
-
-  ASSERT_EQ(sched.push("x", 1, 0, std::nullopt, false).status,
-            S::PushStatus::kAccepted);
-  ASSERT_EQ(sched.push("x", 2, 0, std::nullopt, false).status,
-            S::PushStatus::kAccepted);
-  ASSERT_EQ(sched.push("y", 3, 0, std::nullopt, false).status,
-            S::PushStatus::kAccepted);
-
+  // Ring order is first-activation order: u pushed first, and its live
+  // entry kept its place at the head.
   S::Popped p;
-  ASSERT_EQ(sched.pop_for(std::chrono::milliseconds(50), p),
+  ASSERT_EQ(sched.pop_for(std::chrono::milliseconds(100), p),
             S::PopStatus::kItem);
-  EXPECT_EQ(p.item, 1);  // x first (activation order)
-  // x is now at its inflight cap: its turn is forfeited, y serves.
-  ASSERT_EQ(sched.pop_for(std::chrono::milliseconds(50), p),
-            S::PopStatus::kItem);
-  EXPECT_EQ(p.item, 3);
-  sched.on_done("y", {});
-  // Nothing serveable: x capped with queued work, y empty.
-  EXPECT_EQ(sched.pop_for(std::chrono::milliseconds(20), p),
-            S::PopStatus::kTimeout);
-  // Releasing x's slot makes its queue serveable again.
-  sched.on_done("x", {});
-  ASSERT_EQ(sched.pop_for(std::chrono::milliseconds(50), p),
-            S::PopStatus::kItem);
-  EXPECT_EQ(p.item, 2);
-  sched.on_done("x", {});
-  EXPECT_TRUE(sched.drained());
+  EXPECT_EQ(p.tenant, "u");
+  EXPECT_EQ(p.item, 98);
+  sched.on_done("u", {});
 }
 
 TEST(FairSchedulerTest, EvictPurgesRefusesAndKeepsLedger) {
@@ -360,13 +309,13 @@ TEST(FairSchedulerTest, EvictPurgesRefusesAndKeepsLedger) {
   sched.register_tenant("e", cfg);
   using S = FairScheduler<int>;
   for (const int v : {1, 2, 3})
-    ASSERT_EQ(sched.push("e", v, 0, std::nullopt, false).status,
+    ASSERT_EQ(sched.push("e", v, std::nullopt, false).status,
               S::PushStatus::kAccepted);
 
   const std::vector<int> purged = sched.evict("e");
   EXPECT_EQ(purged, (std::vector<int>{1, 2, 3}));
   EXPECT_FALSE(sched.has_tenant("e"));
-  EXPECT_EQ(sched.push("e", 4, 0, std::nullopt, false).status,
+  EXPECT_EQ(sched.push("e", 4, std::nullopt, false).status,
             S::PushStatus::kUnknownTenant);
   // Names are not recycled: the ledger must survive unambiguously.
   EXPECT_THROW(sched.register_tenant("e", cfg), ConfigError);
@@ -390,9 +339,6 @@ TEST(FairSchedulerTest, ConfigValidation) {
   bad = TenantConfig{};
   bad.max_queue = 0;
   EXPECT_THROW(sched.register_tenant("q", bad), ConfigError);
-  bad = TenantConfig{};
-  bad.breaker_probe_interval = 0;
-  EXPECT_THROW(sched.register_tenant("p", bad), ConfigError);
   sched.register_tenant("ok", TenantConfig{});
   EXPECT_THROW(sched.register_tenant("ok", TenantConfig{}), ConfigError);
 }
@@ -565,14 +511,13 @@ TEST(TenantServerTest, SchedulingNeverChangesResults) {
   light.weight = 1;
   server.register_tenant("light", light);
 
-  // Interleave tenants and priorities; whatever the scheduler decides,
-  // input i's result must equal the serial reference bitwise.
+  // Interleave tenants; whatever the scheduler decides, input i's result
+  // must equal the serial reference bitwise.
   std::vector<serve::Ticket> tickets(inputs.size());
   for (std::size_t i = inputs.size(); i-- > 0;) {
     serve::RequestOptions ro;
     ro.tenant = (i % 3 == 0) ? serve::kDefaultTenant
                              : (i % 3 == 1 ? "heavy" : "light");
-    ro.priority = static_cast<int>(i % 2);
     tickets[i] = server.submit("m", inputs[i], ro);
   }
   for (std::size_t i = 0; i < inputs.size(); ++i)
@@ -597,67 +542,6 @@ TEST(TenantServerTest, UnknownTenantIsAConfigError) {
   EXPECT_THROW(
       server.submit("m", data::random_stream({1, 8, 8, 4}, 0.1, 1), ro),
       ConfigError);
-}
-
-// --- circuit breaker ---------------------------------------------------------
-
-TEST(TenantServerTest, BreakerTripsProbesAndRecoversDeterministically) {
-  serve::ModelRegistry registry;
-  registry.put("m", tiny_net());
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  serve::ServeOptions so;
-  so.engines = 1;       // serialize dispatch: the event order is the test
-  so.retry_budget = 0;  // every injected fault fails its ticket
-  so.memory_words = 1u << 20;
-  serve::InferenceServer server(registry, hw, so);
-  TenantConfig frail;
-  frail.breaker_failure_threshold = 3;
-  frail.breaker_probe_interval = 4;
-  server.register_tenant("frail", frail);
-
-  const auto in = data::random_stream({1, 8, 8, 4}, 0.1, 77);
-  serve::RequestOptions ro;
-  ro.tenant = "frail";
-  const auto submit_and_wait = [&]() -> const char* {
-    try {
-      (void)server.submit("m", in, ro).wait();
-      return "ok";
-    } catch (const faults::FaultError&) {
-      return "fault";
-    } catch (const serve::TenantOverload&) {
-      return "reject-fast";
-    }
-  };
-
-  {
-    faults::FaultConfig fc;
-    fc.seed = 3;
-    fc.rules.push_back({"serve.server.dispatch", {}, 1.0, 0.0});
-    faults::ScopedFaults storm(fc);
-    // Three consecutive dispatch failures trip the breaker...
-    for (int i = 0; i < 3; ++i) EXPECT_STREQ(submit_and_wait(), "fault");
-    // ...now open: attempts 1-3 of the probe cadence reject fast...
-    for (int i = 0; i < 3; ++i) EXPECT_STREQ(submit_and_wait(), "reject-fast");
-    // ...attempt 4 probes, the storm fails it, the breaker re-opens...
-    EXPECT_STREQ(submit_and_wait(), "fault");
-    // ...and the cadence restarts.
-    for (int i = 0; i < 3; ++i) EXPECT_STREQ(submit_and_wait(), "reject-fast");
-  }
-  // Storm over: the next probe succeeds and closes the breaker for good.
-  EXPECT_STREQ(submit_and_wait(), "ok");
-  EXPECT_STREQ(submit_and_wait(), "ok");
-
-  const serve::ServerStats st = server.stats();
-  const TenantStats& ts = tenant_stats(st, "frail");
-  EXPECT_EQ(ts.breaker_trips, 1u);   // kClosed -> kOpen exactly once
-  EXPECT_EQ(ts.breaker_probes, 2u);  // failed probe + successful probe
-  EXPECT_EQ(ts.breaker_rejected, 6u);
-  EXPECT_EQ(ts.breaker, serve::BreakerState::kClosed);
-  EXPECT_EQ(ts.submitted, 6u);  // 3 failures + 2 probes + 1 closed-state run
-  EXPECT_EQ(ts.completed, 2u);
-  EXPECT_EQ(ts.failed, 4u);
-  EXPECT_EQ(ts.completed + ts.failed, ts.submitted);
-  EXPECT_EQ(st.breaker_rejected, 6u);
 }
 
 // --- streaming sessions ------------------------------------------------------
