@@ -342,6 +342,47 @@ void BM_BatchedDataset(benchmark::State& state) {
 BENCHMARK(BM_BatchedDataset)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
+// One cold inference of the Fig. 6 network (paper_topology(2, 32, 32, 11, 8,
+// 64), the perfbench gesture-offline model) on the 8-slice design point, over
+// one synthetic DVS-Gesture sample (T = 50), single-threaded NetworkRunner.
+// conv1 spans all 8 slices while the later layers use one or two, and fc1/fc2
+// run the FC UPDATE sweep, so this row tracks the per-event and per-slice
+// host costs of a whole network rather than of one conv layer.
+// `sim_cycles_per_inf` is a constant of the model and the input.
+void BM_GestureNetwork(benchmark::State& state) {
+  ecnn::Network topo = ecnn::Network::paper_topology(2, 32, 32, 11, 8, 64);
+  Rng rng(99);
+  for (auto& l : topo.layers) {
+    for (auto& w : l.weights) w = static_cast<float>(rng.uniform(-0.3, 1.0));
+    l.threshold = 2.0f;
+    l.leak = 0.05f;
+  }
+  const ecnn::QuantizedNetwork net = ecnn::quantize(topo);
+  data::GestureConfig gcfg;
+  gcfg.samples_per_class = 1;
+  const data::Dataset ds = data::make_gesture_dataset(gcfg);
+  const event::EventStream& in = ds.samples.front().stream;
+
+  // Engine construction is hoisted out of the timed loop; every run
+  // reprograms each pass (no model fingerprint), so each iteration is cold.
+  core::SneEngine engine(core::SneConfig::paper_design_point(8));
+  ecnn::NetworkRunner runner(engine, /*use_wload_stream=*/false);
+  std::uint64_t cycles = 0;
+  std::uint64_t cycles_per_inf = 0;
+  for (auto _ : state) {
+    const auto stats = runner.run(net, in);
+    cycles += stats.cycles;
+    cycles_per_inf = stats.cycles;
+    benchmark::DoNotOptimize(stats.cycles);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["sim_cycles_per_s"] = benchmark::Counter(
+      static_cast<double>(cycles), benchmark::Counter::kIsRate);
+  state.counters["sim_cycles_per_inf"] =
+      benchmark::Counter(static_cast<double>(cycles_per_inf));
+}
+BENCHMARK(BM_GestureNetwork)->Unit(benchmark::kMillisecond);
+
 // One BPTT training epoch of the flat-tensor trainer on the Fig. 6-style
 // topology (paper_topology(2, 32, 32, 4, 6, 32), 24 gesture samples, T = 16).
 // Arg 0: neuron model (0 = SNE-LIF, 1 = SRM); arg 1: worker lanes
