@@ -85,6 +85,26 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
   // bit for bit (sne::serve pins it).
   collector_arb_.reset();
 
+  // Live-slice bound: a slice no input route or pipeline hop reaches, and
+  // that holds no work left by an earlier run that threw, gets nothing to do
+  // this run, so every per-slice loop stops at n_live_. The mapper puts a
+  // round's passes on slices 0..k-1, so the bound is the layer's slice set.
+  n_live_ = 0;
+  const auto reach = [this](std::uint32_t i) {
+    n_live_ = std::max(n_live_, i + 1);
+  };
+  for (const auto d : routes_.input_dest) reach(d);
+  for (const auto& [src, dest] : pipe_routes_) {
+    reach(src);
+    reach(dest);
+  }
+  for (std::uint32_t i = n_live_; i < slices_.size(); ++i) {
+    const Slice& sl = slices_[i];
+    if (sl.busy() || !sl.out_fifo().empty() || sl.cluster_pending() > 0 ||
+        sl.countdown() > 0)
+      reach(i);
+  }
+
   // Contention stalls draw from a stream keyed by the program *contents*
   // (FNV-1a over the beats). Content keying — not a stage or run index — is
   // what makes stalled results invariant across stage/worker counts and
@@ -151,7 +171,7 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
           // A busy jump spans a TDM sweep countdown; an idle one a dead span.
           if (s.any_slice_busy) {
             prof_->sweep_jump_cycles += jump;
-            for (std::size_t i = 0; i < slices_.size(); ++i)
+            for (std::size_t i = 0; i < n_live_; ++i)
               if (slices_[i].busy()) prof_->slice_busy[i] += jump;
           } else {
             prof_->dead_jump_cycles += jump;
@@ -159,7 +179,7 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
         }
         if (!s.any_slice_busy) c.idle_cycles += jump;
         in_dma_.skip_cycles(jump);
-        for (auto& sl : slices_) sl.skip_cycles(jump);
+        for (auto& sl : live_slices()) sl.skip_cycles(jump);
         if (c.cycles >= opts.max_cycles) continue;  // livelock guard throws
       }
     }
@@ -168,7 +188,7 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
     s = scan_state();
     if (prof_) {
       prof_->percycle_cycles++;
-      for (std::size_t i = 0; i < slices_.size(); ++i)
+      for (std::size_t i = 0; i < n_live_; ++i)
         if (slices_[i].busy()) prof_->slice_busy[i]++;
     }
     if (!s.any_slice_busy) c.idle_cycles++;
@@ -219,14 +239,14 @@ void SneEngine::tick(hwsim::ActivityCounters& c) {
   for (auto& dma : out_dmas_) dma.tick(c);
   collector_tick(c);
   xbar_slice_moves(c);
-  for (auto& s : slices_) s.tick(c);
+  for (auto& s : live_slices()) s.tick(c);
   xbar_input_move(c);
   in_dma_.tick(c);
 }
 
 SneEngine::ScanState SneEngine::scan_state() const {
   ScanState s;
-  for (const auto& sl : slices_) {
+  for (const auto& sl : live_slices()) {
     if (sl.busy()) s.any_slice_busy = true;
     if (!sl.out_fifo().empty()) s.any_slice_out = true;
     if (sl.draining()) s.any_drain = true;
@@ -260,8 +280,10 @@ std::uint64_t SneEngine::next_activity_delta() const {
       break;
     }
   if (dma_space) {
-    for (const auto i : mem_slices_)
+    for (const auto i : mem_slices_) {
+      if (i >= n_live_) break;  // ascending
       if (!slices_[i].out_fifo().empty()) return 1;
+    }
   }
 
   // Slice-to-slice crossbar hops (pipeline mode). A hop blocked on a full
@@ -272,7 +294,7 @@ std::uint64_t SneEngine::next_activity_delta() const {
         !slices_[dest].in_fifo().full())
       return 1;
 
-  for (const auto& sl : slices_) {
+  for (const auto& sl : live_slices()) {
     consider(sl.next_activity_delta());
     if (d == 1) return 1;
   }
@@ -342,7 +364,7 @@ std::uint64_t SneEngine::drain_burst(hwsim::ActivityCounters& c,
     bool ok = true;
     bool any_work = false;
     std::uint64_t full_tick = 0;  // decode-boundary slices, ticked in full
-    for (std::size_t i = 0; i < slices_.size(); ++i) {
+    for (std::size_t i = 0; i < n_live_; ++i) {
       const Slice& sl = slices_[i];
       if (!sl.drain_cycle_ok(incoming >> i & 1)) {
         // Pipeline-routed drains hit decode boundaries (a hop landing in an
@@ -386,9 +408,9 @@ std::uint64_t SneEngine::drain_burst(hwsim::ActivityCounters& c,
     collector_tick(c);
     xbar_slice_moves(c);
     if (full_tick == 0) {
-      for (auto& sl : slices_) sl.drain_tick(c);
+      for (auto& sl : live_slices()) sl.drain_tick(c);
     } else {
-      for (std::size_t i = 0; i < slices_.size(); ++i) {
+      for (std::size_t i = 0; i < n_live_; ++i) {
         if (full_tick >> i & 1)
           slices_[i].tick(c);
         else
@@ -402,13 +424,13 @@ std::uint64_t SneEngine::drain_burst(hwsim::ActivityCounters& c,
     bool any_busy = false;
     if (prof_) {
       prof_->burst_cycles++;
-      for (std::size_t i = 0; i < slices_.size(); ++i)
+      for (std::size_t i = 0; i < n_live_; ++i)
         if (slices_[i].busy()) {
           any_busy = true;
           prof_->slice_busy[i]++;
         }
     } else {
-      for (const auto& sl : slices_)
+      for (const auto& sl : live_slices())
         if (sl.busy()) {
           any_busy = true;
           break;
@@ -451,7 +473,7 @@ std::uint64_t SneEngine::drain_bulk_span(hwsim::ActivityCounters& c,
   std::uint64_t request = 0;               // slices with a nonempty out FIFO
   bool inert_busy = false;                 // a busy non-participant slice
   std::uint64_t inert_busy_mask = 0;       // same slices, for the profiler
-  for (std::uint32_t i = 0; i < slices_.size(); ++i) {
+  for (std::uint32_t i = 0; i < n_live_; ++i) {
     const Slice& sl = slices_[i];
     if (!sl.configured()) continue;
     const bool events = sl.cluster_pending() > 0 || !sl.out_fifo().empty();
@@ -807,7 +829,7 @@ std::uint64_t SneEngine::drain_bulk_span(hwsim::ActivityCounters& c,
                                  rep.out_peak, rep.out_seq.data() + p.granted,
                                  rep.out_count);
   }
-  for (std::size_t i = 0; i < slices_.size(); ++i)
+  for (std::size_t i = 0; i < n_live_; ++i)
     if (!part_of[i]) slices_[i].skip_cycles(span);
   in_dma_.skip_cycles(span);
   collector_arb_.set_cursor(cursor);
@@ -837,8 +859,10 @@ void SneEngine::collector_tick(hwsim::ActivityCounters& c) {
   // and output FIFO nonempty) over the precomputed slice list; grants are
   // identical, at two bit scans per DMA instead of a route-table walk.
   std::uint64_t request = 0;
-  for (const auto i : mem_slices_)
+  for (const auto i : mem_slices_) {
+    if (i >= n_live_) break;  // ascending
     if (!slices_[i].out_fifo().empty()) request |= 1ull << i;
+  }
   for (auto& dma : out_dmas_) {
     if (dma.fifo().full()) continue;
     const int granted = collector_arb_.grant_masked(request);

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/contracts.h"
@@ -215,6 +216,12 @@ class SneEngine {
   /// unblocking is another component's activity.
   std::uint64_t next_activity_delta() const;
 
+  /// Slices [0, n_live_): the only ones the running program can touch.
+  std::span<Slice> live_slices() { return {slices_.data(), n_live_}; }
+  std::span<const Slice> live_slices() const {
+    return {slices_.data(), n_live_};
+  }
+
   void tick(hwsim::ActivityCounters& c);
   void xbar_input_move(hwsim::ActivityCounters& c);
   void xbar_slice_moves(hwsim::ActivityCounters& c);
@@ -252,6 +259,9 @@ class SneEngine {
   SneConfig cfg_;
   hwsim::MemoryModel mem_;
   std::vector<Slice> slices_;  ///< by value: hot loops stay cache-local
+  /// Live-slice bound of the current run, set by run(): the per-slice loops
+  /// of the cycle engine stop here.
+  std::uint32_t n_live_ = 0;
   InputStreamer in_dma_;
   std::vector<OutputStreamer> out_dmas_;
   hwsim::RoundRobinArbiter collector_arb_;

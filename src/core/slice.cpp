@@ -226,27 +226,30 @@ void Slice::decode(const event::Event& e, hwsim::ActivityCounters& c) {
     case event::Op::kUpdate: {
       if (!compute_event_filter(e))
         return;  // address filter drops the event at the decoder
-      if (hw_->fast_forward && cfg_.kind != LayerKind::kFc) {
-        // Conv fast path: the batch executor enumerates integrations from
-        // the receptive rectangle and only needs the sweep's cycle length,
-        // so the slot buffer is never filled. (e.y bounds-checked by the
-        // filter above.)
-        sweep_slots_ = update_len_lut_[e.y];
+      if (hw_->fast_forward) {
+        // Fast path: the batch executor enumerates integrations itself
+        // (conv: the receptive rectangle; FC: each accepted cluster's
+        // engaged slots) and only needs the sweep's cycle length, so the
+        // slot buffer is never filled. (e.y bounds-checked by the filter
+        // above; an FC sweep visits every TDM slot.)
+        sweep_slots_ = cfg_.kind == LayerKind::kFc ? hw_->neurons_per_cluster
+                                                   : update_len_lut_[e.y];
         if (sweep_slots_ == 0) return;
       } else {
         sequencer_.update_schedule_into(cfg_, e.x, e.y, schedule_);
         if (schedule_.empty()) return;
-        if (cfg_.kind == LayerKind::kFc && cfg_.fc_weights_streamed) {
-          // Streamed FC: the event's weight column (4 bits per mapped
-          // output) rides the second DMA at one 32-bit beat per cycle. The
-          // event occupies the slice for max(TDM sweep, streaming) cycles.
-          // The beat count is a pass constant precomputed in configure().
-          c.weight_load_beats += fc_streamed_beats_;
-          c.dma_read_beats += fc_streamed_beats_;
-          while (schedule_.size() < fc_streamed_beats_)
-            schedule_.push_back(kIdleSlot);
-        }
         sweep_slots_ = schedule_.size();
+      }
+      if (cfg_.kind == LayerKind::kFc && cfg_.fc_weights_streamed) {
+        // Streamed FC: the event's weight column (4 bits per mapped output)
+        // rides the second DMA at one 32-bit beat per cycle. The event
+        // occupies the slice for max(TDM sweep, streaming) cycles, idle
+        // slots padding the reference schedule. The beat count is a pass
+        // constant precomputed in configure().
+        c.weight_load_beats += fc_streamed_beats_;
+        c.dma_read_beats += fc_streamed_beats_;
+        sweep_slots_ = std::max<std::size_t>(sweep_slots_, fc_streamed_beats_);
+        if (!hw_->fast_forward) schedule_.resize(sweep_slots_, kIdleSlot);
       }
       c.events_consumed++;
       state_ = State::kUpdate;
@@ -739,18 +742,32 @@ void Slice::batch_update(hwsim::ActivityCounters& c) {
   // directly instead of scanning the padded sweep.
   std::uint64_t updates = 0;
   if (cfg_.kind == LayerKind::kFc) {
-    for (std::uint64_t i = 0; i < slots; ++i) {
-      const std::uint16_t slot = schedule_[i];
-      if (slot == kIdleSlot) continue;
-      for (auto& cl : clusters_) {
-        if (!cl.enabled_for_event) continue;  // implies map.enabled
-        const auto w = weight_for(cl, slot);
-        if (!w.has_value()) continue;
-        cl.neurons[slot].integrate(current_.t, *w, cfg_.lif);
+    // The FC sweep visits every TDM slot, and slot s of a cluster is engaged
+    // while out_channel + s < total: each accepted cluster integrates a
+    // prefix of its slots. The flat input index is an event constant, and
+    // each cluster's weights for the event are one contiguous row (same
+    // addressing as weight_for).
+    const std::uint32_t local =
+        cfg_.fc_flat_index(current_.ch, current_.x, current_.y) -
+        cfg_.fc_pass_base;
+    const std::uint32_t total = fc_total_outputs();
+    const std::uint32_t npc = hw_->neurons_per_cluster;
+    for (std::uint32_t k = 0; k < ev_accepted_; ++k) {
+      const std::uint32_t i = ev_accepted_idx_[k];
+      Cluster& cl = clusters_[i];
+      const std::uint32_t first = cl.map.out_channel;
+      if (first >= total) continue;
+      const std::uint32_t n = std::min(npc, total - first);
+      for (std::uint32_t slot = 0; slot < n; ++slot) {
+        const std::int32_t w =
+            cfg_.fc_weights_streamed
+                ? weights_.read(local, first + slot)
+                : weights_.read(local * hw_->clusters_per_slice + i, slot);
+        cl.neurons[slot].integrate(current_.t, w, cfg_.lif);
         if (cl.neurons[slot].membrane() > cfg_.lif.v_th)
           cl.armed[slot >> 6] |= 1ull << (slot & 63);
-        ++updates;
       }
+      updates += n;
     }
   } else {
     const int tile_w = static_cast<int>(hw_->cluster_tile_width);

@@ -489,6 +489,8 @@ class Slice {
 
   /// Weight for cluster `cl`, TDM slot `slot`, given current UPDATE event.
   /// Returns nullopt when the slot's neuron is not in the receptive field.
+  /// The per-cycle reference sweep (tick_update) reads weights through this;
+  /// batch_update addresses the same cells directly, per cluster.
   std::optional<std::int32_t> weight_for(const Cluster& cl,
                                          std::uint16_t slot) const;
 
@@ -515,8 +517,8 @@ class Slice {
   event::Event current_{};                 ///< event being executed
   std::vector<std::uint16_t> schedule_;    ///< TDM sweep for current op (reused)
   /// Cycle length of the current sweep. Equals schedule_.size() whenever the
-  /// schedule is materialized; the fast-forward conv-UPDATE path computes
-  /// only the length (the slot list is never consumed there).
+  /// schedule is materialized; the fast-forward UPDATE path computes only
+  /// the length (the slot list is never consumed there).
   std::size_t sweep_slots_ = 0;
   /// Events currently queued across all cluster output FIFOs; lets the
   /// per-cycle collector and the activity scan skip 16 FIFO probes when the

@@ -14,6 +14,7 @@
 #include "core/engine.h"
 #include "data/synthetic.h"
 #include "ecnn/batch_runner.h"
+#include "ecnn/mapper.h"
 #include "ecnn/runner.h"
 #include "test_util.h"
 
@@ -101,10 +102,11 @@ NetworkRunStats run_network_cfg(const SneConfig& hw, const QuantizedNetwork& net
 }
 
 /// Three-way equivalence: per-cycle reference vs fast-forward vs
-/// fast-forward + batched drain engine, all bit-identical.
-void expect_drain_equivalent(SneConfig hw, const QuantizedNetwork& net,
-                             const event::EventStream& input,
-                             std::size_t memory_words = 1u << 20) {
+/// fast-forward + batched drain engine, all bit-identical. Returns the
+/// reference run, for checks that the scenario exercises what it claims.
+NetworkRunStats expect_drain_equivalent(SneConfig hw, const QuantizedNetwork& net,
+                                        const event::EventStream& input,
+                                        std::size_t memory_words = 1u << 20) {
   hw.fast_forward = false;
   hw.drain_batching = false;
   const auto ref = run_network_cfg(hw, net, input, memory_words);
@@ -114,6 +116,7 @@ void expect_drain_equivalent(SneConfig hw, const QuantizedNetwork& net,
   const auto drain = run_network_cfg(hw, net, input, memory_words);
   expect_equivalent(ref, fast);
   expect_equivalent(ref, drain);
+  return ref;
 }
 
 TEST(FastForwardEquivalence, ConvLayerTimeMultiplexed) {
@@ -288,22 +291,71 @@ TEST(FastForwardEquivalence, EngineReuseAcrossRuns) {
 
 TEST(FastForwardEquivalence, WloadStreamProgramming) {
   // Weight programming through the C-XBAR WLOAD path (per-cycle payload
-  // consumption) interleaved with simulation.
-  QuantizedNetwork net;
-  net.layers.push_back(conv_layer(1, 16, 2, 6, 47));
+  // consumption) interleaved with simulation. On the 4-slice design point
+  // the 8-channel layer takes two slices, so one WLOAD run routes the input
+  // DMA point-to-point to slice 1 alone, with slice 0 idle below it.
   const auto in = data::random_stream({1, 16, 16, 8}, 0.06, 61);
+  for (const auto& [slices, out_ch] :
+       {std::pair<std::uint32_t, std::uint16_t>{1, 2}, {4, 8}}) {
+    SCOPED_TRACE("slices=" + std::to_string(slices));
+    QuantizedNetwork net;
+    net.layers.push_back(conv_layer(1, 16, out_ch, 6, 47));
+    SneConfig hw = SneConfig::paper_design_point(slices);
+    std::uint32_t top_slice = 0;
+    for (const auto& round : ecnn::Mapper(hw).plan(net.layers[0], 8).rounds)
+      for (const auto& pass : round.passes)
+        top_slice = std::max(top_slice, pass.slice_id);
+    EXPECT_EQ(top_slice, slices == 1 ? 0u : 1u);
 
-  NetworkRunStats stats[2];
+    NetworkRunStats stats[2];
+    int k = 0;
+    for (bool fast : {false, true}) {
+      hw.fast_forward = fast;
+      SneEngine engine(hw, 1u << 20);
+      NetworkRunner runner(engine, /*use_wload_stream=*/true);
+      stats[k++] = runner.run(net, in);
+    }
+    ASSERT_GT(stats[0].total.weight_load_beats, 0u);
+    expect_equivalent(stats[0], stats[1]);
+  }
+}
+
+TEST(FastForwardEquivalence, RunAfterThrowDrainsStrandedSlices) {
+  // A run that throws leaves work in slices the next run's routes may not
+  // reach. The next run must still tick them to quiescence, with the same
+  // cycles and output as the per-cycle reference. (Counters are not
+  // compared: a batch-executed sweep charges its counters up front, so the
+  // thrown run takes charges the reference leaves to the next run.)
+  QuantizedNetwork net;
+  net.layers.push_back(conv_layer(1, 16, 16, 2, 89));  // four slices wide
+  const auto in = data::random_stream({1, 16, 16, 8}, 0.1, 97);
+  core::XbarRoutes narrow;
+  narrow.input_dest = {0};
+  narrow.slice_dest.assign(4, core::SliceRoute{});
+
+  core::RunResult after[2];
   int k = 0;
   for (bool fast : {false, true}) {
-    SneConfig hw = SneConfig::paper_design_point(1);
+    SneConfig hw = SneConfig::paper_design_point(4);
     hw.fast_forward = fast;
     SneEngine engine(hw, 1u << 20);
-    NetworkRunner runner(engine, /*use_wload_stream=*/true);
-    stats[k++] = runner.run(net, in);
+    NetworkRunner runner(engine, /*use_wload_stream=*/false);
+    runner.run(net, in);  // programs slices 0-3 and routes input to all four
+    core::RunOptions cut;
+    cut.max_cycles = 2000;
+    EXPECT_THROW(engine.run(in, cut), ContractViolation);
+    ASSERT_TRUE(engine.slice(3).busy() || !engine.slice(3).out_fifo().empty());
+    engine.set_routes(narrow);
+    after[k++] = engine.run(in);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      EXPECT_TRUE(engine.slice(i).idle()) << "slice " << i;
+      EXPECT_TRUE(engine.slice(i).out_fifo().empty()) << "slice " << i;
+      EXPECT_EQ(engine.slice(i).cluster_pending(), 0u) << "slice " << i;
+    }
   }
-  ASSERT_GT(stats[0].total.weight_load_beats, 0u);
-  expect_equivalent(stats[0], stats[1]);
+  EXPECT_EQ(after[0].cycles, after[1].cycles);
+  EXPECT_TRUE(after[0].output == after[1].output);
+  EXPECT_GT(after[0].output.update_count(), 0u);
 }
 
 // --- batched drain engine ----------------------------------------------------
@@ -455,6 +507,78 @@ TEST(DrainEquivalence, PipeRoutedBulkDrainHostsDecodeBoundaries) {
         << " counters diverge:\nref:  " << counters[0] << "\nfast: " << counters[m];
     EXPECT_TRUE(outputs[0] == outputs[m]) << "mode " << m;
   }
+}
+
+TEST(DrainEquivalence, ResidentFcAcrossClusters) {
+  // 16 input positions x 16 clusters fill the 256 weight sets exactly, so
+  // the weights stay in the filter buffer. 150 outputs take clusters 0-2,
+  // the last one engaged on 22 of its 64 slots: the FC UPDATE sweep must
+  // integrate exactly each accepted cluster's engaged prefix.
+  QuantizedNetwork net;
+  net.layers.push_back(fc_layer(1, 4, 150, 71));
+  const auto in = data::random_stream({1, 4, 4, 16}, 0.3, 73);
+  const SneConfig hw = SneConfig::paper_design_point(2);
+  const auto plan = ecnn::Mapper(hw).plan(net.layers[0], 16);
+  ASSERT_EQ(plan.rounds.size(), 1u);
+  ASSERT_FALSE(plan.rounds[0].passes[0].cfg.fc_weights_streamed);
+  EXPECT_GT(expect_drain_equivalent(hw, net, in).total.output_events, 0u);
+}
+
+TEST(DrainEquivalence, StreamedFcAcrossClusters) {
+  // 32 input positions overflow the filter buffer, so the weights stream
+  // per event. 150 outputs end in a partial third cluster; 600 outputs take
+  // ten clusters and 75 streaming beats per event, so the DMA outlasts the
+  // 64-slot TDM sweep and sets the event's occupancy.
+  const auto in = data::random_stream({2, 4, 4, 16}, 0.2, 79);
+  for (const std::uint16_t outputs : {150, 600}) {
+    SCOPED_TRACE("outputs=" + std::to_string(outputs));
+    QuantizedNetwork net;
+    net.layers.push_back(fc_layer(2, 4, outputs, 83));
+    const SneConfig hw = SneConfig::paper_design_point(2);
+    const auto plan = ecnn::Mapper(hw).plan(net.layers[0], 16);
+    ASSERT_TRUE(plan.rounds[0].passes[0].cfg.fc_weights_streamed);
+    const auto ref = expect_drain_equivalent(hw, net, in);
+    EXPECT_GT(ref.total.output_events, 0u);
+    EXPECT_GT(ref.total.weight_load_beats, 0u);
+  }
+}
+
+TEST(DrainEquivalence, GestureNetworkOnLiveSlices) {
+  // The Fig. 6 network on the 8-slice design point: conv1 spans all eight
+  // slices, pool1 and conv2 two, and the pools and FC layers after them one,
+  // so most engine runs leave the upper slices idle (and still configured
+  // from an earlier, wider layer). A short synthetic gesture keeps the
+  // per-cycle reference affordable.
+  ecnn::Network topo = ecnn::Network::paper_topology(2, 32, 32, 11, 8, 64);
+  Rng rng(99);
+  for (auto& l : topo.layers) {
+    for (auto& w : l.weights) w = static_cast<float>(rng.uniform(-0.3, 1.0));
+    l.threshold = 2.0f;
+    l.leak = 0.05f;
+  }
+  const QuantizedNetwork net = ecnn::quantize(topo);
+  data::GestureConfig gcfg;
+  gcfg.timesteps = 6;
+  gcfg.classes = 1;
+  gcfg.samples_per_class = 1;
+  const event::EventStream in = data::make_gesture_dataset(gcfg).samples[0].stream;
+  const SneConfig hw = SneConfig::paper_design_point(8);
+
+  const ecnn::Mapper mapper(hw);
+  std::vector<std::size_t> widths;
+  for (const auto& layer : net.layers) {
+    std::size_t w = 0;
+    for (const auto& round : mapper.plan(layer, gcfg.timesteps).rounds)
+      w = std::max(w, round.passes.size());
+    widths.push_back(w);
+  }
+  ASSERT_EQ(widths.front(), 8u);
+  EXPECT_EQ(widths.back(), 1u);
+
+  const auto ref = expect_drain_equivalent(hw, net, in);
+  // Every layer, the FC tail included, sees input events.
+  for (std::size_t i = 0; i < ref.layers.size(); ++i)
+    EXPECT_GT(ref.layers[i].input_events, 0u) << "layer " << i;
 }
 
 TEST(DrainEquivalence, FullOutputRegion) {
