@@ -13,8 +13,7 @@
 // Options:
 //   --host A            bind address        (default 127.0.0.1)
 //   --port N            bind port, 0 = ephemeral (default 8080)
-//   --engines N         pooled engines / dispatch workers, and the cap on
-//                       open sessions (default 2)
+//   --engines N         pooled engines / dispatch workers (default 2)
 //   --token TOK=TENANT  bearer token mapping, repeatable; a bare TOK maps
 //                       to the default tenant. Named tenants are
 //                       registered automatically (weight 1, max_queue 64,

@@ -167,24 +167,26 @@ def main():
         status, _, _ = exchange("POST", f"/v1/session/{sid}/close")
         expect(status == 200, "session close answers 200")
 
-        # Each open session pins one of the default 2 engines; a third open
-        # is refused at once instead of parking, and the front door stays
-        # live.
+        # A session holds no engine between chunks: three sessions open on
+        # the default 2 engines, each answers a chunk, and the front door
+        # stays live.
         sids = []
-        for _ in range(2):
+        for i in range(3):
             status, raw, _ = exchange("POST", "/v1/session/open?model=demo",
                                       headers={**auth, "X-Sne-Horizon": "16"})
-            expect(status == 200, "session opened while engines are free")
+            expect(status == 200,
+                   f"session {i + 1} of 3 opens on 2 engines (got {status})")
             sids.append(raw.decode())
-        status, _, resp = exchange("POST", "/v1/session/open?model=demo",
-                                   headers={**auth, "X-Sne-Horizon": "16"})
-        expect(status == 503 and resp.getheader("Retry-After") is not None,
-               f"third open answers 503 + Retry-After (got {status})")
+        for i, s in enumerate(sids):
+            status, _, _ = exchange("POST", f"/v1/session/{s}/feed",
+                                    demo_body(4, 10 + i))
+            expect(status == 200,
+                   f"session {s} answers its chunk (got {status})")
         probe = http.client.HTTPConnection("127.0.0.1", port, timeout=2)
         probe.request("GET", "/healthz")
         health = probe.getresponse()
         expect(health.status == 200 and health.read() == b"ok\n",
-               "/healthz answers 200 with every engine pinned")
+               "/healthz answers 200 with three sessions open")
         probe.close()
         for s in sids:
             status, _, _ = exchange("POST", f"/v1/session/{s}/close")

@@ -18,7 +18,8 @@
 //   serve.server.dispatch    InferenceServer worker, before the engine run
 //   serve.session.chunk      StreamingSession chunk dispatch, before the
 //                            engine run (fails the in-flight chunk; the
-//                            session respawns and continues)
+//                            next chunk restores the snapshot and the
+//                            session continues)
 //   net.accept               GatewayServer accept, after the kernel accept
 //                            (the new connection is torn down immediately)
 //   net.conn.read            gateway connection read (a torn read fails

@@ -104,6 +104,13 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
         sl.countdown() > 0)
       reach(i);
   }
+  // The same start pulse rewinds each live slice's collector: its pointer
+  // otherwise carries over from the last run on the slice, and an engine
+  // that was programmed and restored from a snapshot (a streaming session's
+  // chunk) would grant in a different order than the one that ran the
+  // previous chunk. Slices outside the bound are rewound by the run that
+  // makes them live.
+  for (std::uint32_t i = 0; i < n_live_; ++i) slices_[i].rewind_collector();
 
   // Contention stalls draw from a stream keyed by the program *contents*
   // (FNV-1a over the beats). Content keying — not a stage or run index — is

@@ -168,11 +168,12 @@ class SneEngine {
   // --- neuron-state snapshot (streaming sessions) ---------------------------
   // Between two run() calls the only machine state that carries semantic
   // meaning across the boundary is the slices' neuron arrays (everything
-  // else is quiescent: FIFOs empty, arbitration rewound per run). Saving
-  // and restoring them lets a streaming session resume mid-stream on a
-  // *replacement* engine after a crash: program the same pipeline, restore
-  // the snapshot, and subsequent chunks are bitwise identical to the
-  // uninterrupted run (serve::StreamingSession + tests/test_tenants.cpp).
+  // else is quiescent: FIFOs empty, engine and slice arbitration rewound
+  // at each run's start pulse). Saving and restoring them lets a streaming
+  // session resume mid-stream on *any* engine: program the same pipeline,
+  // restore the snapshot, and the next chunk is bitwise identical to the
+  // uninterrupted run. serve::StreamingSession does this for every chunk
+  // (tests/test_tenants.cpp pins it).
 
   /// Whole-engine neuron-state image, one entry per slice.
   struct NeuronState {

@@ -103,6 +103,11 @@ class Slice {
   /// guards it with the residency tag.
   void rewind_for_pass();
 
+  /// Rewinds the collector arbitration pointer only: SneEngine::run's start
+  /// pulse calls it on every live slice, so a run's grant schedule never
+  /// depends on where a previous run on this slice left the pointer.
+  void rewind_collector() { collector_arb_.reset(); }
+
   /// Host-side bulk weight load (bypasses the streamed WLOAD path; tests
   /// cover the equivalence of both paths).
   WeightMemory& weights() { return weights_; }
@@ -375,15 +380,17 @@ class Slice {
 
   const std::vector<Cluster>& clusters() const { return clusters_; }
 
-  // --- neuron-state snapshot (streaming-session crash recovery) ------------
+  // --- neuron-state snapshot (streaming sessions) ---------------------------
   // The cross-run state a pipeline-resident slice carries between chunks is
   // exactly its neuron array (membrane + TLU timestamp; LifNeuron is plain
-  // data) plus the armed masks. Everything else a run mutates (FIFOs,
-  // arbitration, the state machine) is quiescent between runs and rebuilt by
-  // configure(); the FIRE caches are refilled at each FIRE decode before any
-  // read. serve::StreamingSession snapshots after every successful chunk and
-  // restores onto a freshly programmed replacement engine after a crash, so
-  // the machine resumes in bitwise the state the last good chunk left.
+  // data) plus the armed masks. The FIFOs and the state machine are
+  // quiescent between runs and rebuilt by configure(). The collector
+  // arbitration pointer is not quiescent (a run leaves it wherever its last
+  // grant put it), so SneEngine::run rewinds it at every start pulse. The
+  // FIRE caches are refilled at each FIRE decode before any read.
+  // serve::StreamingSession snapshots after every successful chunk and
+  // restores onto the freshly programmed engine each chunk leases, so the
+  // machine resumes in bitwise the state the last good chunk left.
 
   /// Per-slice neuron-state image (clusters x neurons, plus armed masks).
   struct NeuronStateImage {

@@ -50,17 +50,9 @@ std::unique_ptr<EnginePool::Entry> EnginePool::build_entry() const {
   return entry;
 }
 
-EnginePool::Entry* EnginePool::acquire_entry(std::uint64_t model_tag,
-                                             bool pinned,
-                                             bool check_pinned_cap) {
+EnginePool::Entry* EnginePool::acquire_entry(std::uint64_t model_tag) {
   faults::check("ecnn.pool.acquire");
   std::unique_lock<std::mutex> lk(m_);
-  if (pinned) {
-    if (check_pinned_cap && opts_.max_engines != 0 &&
-        pinned_ >= opts_.max_engines)
-      return nullptr;
-    ++pinned_;
-  }
   for (;;) {
     if (free_count_ > 0) {
       // Affinity pick (newest first: recently released engines are the
@@ -89,10 +81,8 @@ EnginePool::Entry* EnginePool::acquire_entry(std::uint64_t model_tag,
       ++leases_;
       return e;
     }
-    // Unpinned acquires count only unpinned engines against the cap;
-    // pinned ones never wait (their cap was checked above).
-    if (pinned || opts_.max_engines == 0 ||
-        entries_.size() + building_ - pinned_ < opts_.max_engines) {
+    if (opts_.max_engines == 0 ||
+        entries_.size() + building_ < opts_.max_engines) {
       // Construct outside the lock: the multi-MB memory-model clear must not
       // serialize concurrent first-touch acquires.
       ++building_;
@@ -105,7 +95,6 @@ EnginePool::Entry* EnginePool::acquire_entry(std::uint64_t model_tag,
         // later acquire on a construction that will never finish.
         lk.lock();
         --building_;
-        if (pinned) --pinned_;
         cv_.notify_one();
         throw;
       }
@@ -119,25 +108,14 @@ EnginePool::Entry* EnginePool::acquire_entry(std::uint64_t model_tag,
   }
 }
 
-void EnginePool::respawn(Lease& lease) {
-  SNE_EXPECTS(lease.pool_ == this && lease.pinned_ && lease.poisoned_);
-  // Fresh engine first (the pinned count briefly runs one over), so a
-  // failed construction leaves the lease poisoned but intact.
-  Entry* fresh = acquire_entry(0, /*pinned=*/true, /*check_pinned_cap=*/false);
-  discard_entry(lease.entry_, /*pinned=*/true);
-  lease.entry_ = fresh;
-  lease.model_tag_ = 0;
-  lease.poisoned_ = false;
-}
-
 void EnginePool::release_entry(Entry* entry, std::uint64_t model_tag,
-                               bool poisoned, bool pinned) {
+                               bool poisoned) {
   // A release-time fault means the reset itself cannot be trusted; the
   // destructor path must not throw, so the engine is quarantined exactly
   // like a poisoned lease instead.
   if (faults::fires("ecnn.pool.release")) poisoned = true;
   if (poisoned) {
-    discard_entry(entry, pinned);
+    discard_entry(entry);
     return;
   }
   // Reset on release (not on acquire): the lease boundary is where the
@@ -152,13 +130,12 @@ void EnginePool::release_entry(Entry* entry, std::uint64_t model_tag,
   {
     std::lock_guard<std::mutex> lk(m_);
     entry->model_tag = opts_.weight_resident ? model_tag : 0;
-    if (pinned) --pinned_;
     push_free(entry);
   }
   cv_.notify_one();
 }
 
-void EnginePool::discard_entry(Entry* entry, bool pinned) {
+void EnginePool::discard_entry(Entry* entry) {
   // Destroy outside the lock (a multi-MB memory model dies with the engine)
   // but unlink and free the capacity slot under it, so a blocked acquire can
   // start constructing the replacement immediately.
@@ -185,7 +162,6 @@ void EnginePool::discard_entry(Entry* entry, bool pinned) {
     }
     doomed = std::move(*it);
     entries_.erase(it);
-    if (pinned) --pinned_;
     ++quarantined_;
     ++discarded_;
   }

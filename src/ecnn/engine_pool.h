@@ -20,14 +20,9 @@
 //
 // The pool grows on demand up to `max_engines` (0 = unbounded); engines are
 // constructed outside the pool lock so concurrent first-touch acquires do
-// not serialize their memory-model clears.
-//
-// Pinned leases (try_acquire_pinned) serve long-lived holders — a streaming
-// session keeps one engine for its whole life. They are capped at
-// `max_engines` on their own count and never wait: past the cap the call
-// answers nullopt. acquire() counts only unpinned leases against the cap,
-// so a dispatch worker never waits for an engine a session holds (the pool
-// may therefore hold up to 2 x max_engines engines).
+// not serialize their memory-model clears. There is one lease kind: a
+// streaming session leases an engine per chunk like any one-shot request
+// and restores its neuron-state snapshot onto it (serve/session.h).
 //
 // Quarantine: a lease that observed an exception mid-request calls
 // poison() — the release path then *discards* the engine (destroying it and
@@ -44,7 +39,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -60,8 +54,8 @@ struct EnginePoolOptions {
   std::size_t memory_words = (1u << 22);  ///< per-engine external memory
   hwsim::MemoryTiming mem_timing{};       ///< per-engine memory timing
   bool use_wload_stream = false;          ///< see ecnn::NetworkRunner
-  /// Cap on unpinned leases (acquire() blocks when that many are out and no
-  /// engine is free) and, separately, on pinned leases. 0 = no cap.
+  /// Cap on leases out at once (acquire() blocks when that many are out and
+  /// no engine is free). 0 = no cap.
   unsigned max_engines = 0;
   /// Release leases with reset_machine_state() (keep slice programming
   /// resident) instead of a full reset(). Cold runs are bitwise unaffected
@@ -102,7 +96,6 @@ class EnginePool {
         : pool_(o.pool_),
           entry_(o.entry_),
           model_tag_(o.model_tag_),
-          pinned_(o.pinned_),
           poisoned_(o.poisoned_) {
       o.pool_ = nullptr;
       o.entry_ = nullptr;
@@ -111,7 +104,7 @@ class EnginePool {
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;
     ~Lease() {
-      if (pool_) pool_->release_entry(entry_, model_tag_, poisoned_, pinned_);
+      if (pool_) pool_->release_entry(entry_, model_tag_, poisoned_);
     }
 
     core::SneEngine& engine() { return *entry_->engine; }
@@ -122,16 +115,14 @@ class EnginePool {
     /// discards and replaces it instead of resetting it (see the quarantine
     /// note above).
     void poison() { poisoned_ = true; }
-    bool poisoned() const { return poisoned_; }
 
    private:
     friend class EnginePool;
-    Lease(EnginePool* pool, Entry* entry, std::uint64_t model_tag, bool pinned)
-        : pool_(pool), entry_(entry), model_tag_(model_tag), pinned_(pinned) {}
+    Lease(EnginePool* pool, Entry* entry, std::uint64_t model_tag)
+        : pool_(pool), entry_(entry), model_tag_(model_tag) {}
     EnginePool* pool_;
     Entry* entry_;
     std::uint64_t model_tag_;
-    bool pinned_;
     bool poisoned_ = false;
   };
 
@@ -143,25 +134,8 @@ class EnginePool {
   /// blank engine is available.
   Lease acquire(std::uint64_t model_tag = 0) {
     obs::ScopedSpan span("ecnn.pool.lease", model_tag);
-    return Lease(this, acquire_entry(model_tag, /*pinned=*/false), model_tag,
-                 /*pinned=*/false);
+    return Lease(this, acquire_entry(model_tag), model_tag);
   }
-
-  /// Pinned lease (see the header comment): a free engine or a freshly
-  /// constructed one, never a wait; nullopt when max_engines pinned leases
-  /// are already out.
-  std::optional<Lease> try_acquire_pinned() {
-    obs::ScopedSpan span("ecnn.pool.lease", 0);
-    Entry* e = acquire_entry(0, /*pinned=*/true);
-    if (e == nullptr) return std::nullopt;
-    return Lease(this, e, 0, /*pinned=*/true);
-  }
-
-  /// Swaps a poisoned pinned lease's engine for a fresh one (the session
-  /// respawn path). The lease keeps its pinned slot, so a respawn never
-  /// loses it to a concurrent try_acquire_pinned; the poisoned engine is
-  /// discarded.
-  void respawn(Lease& lease);
 
   struct Stats {
     std::uint64_t constructed = 0;  ///< engines built over the pool lifetime
@@ -187,12 +161,9 @@ class EnginePool {
     std::uint64_t seq = 0;
   };
 
-  /// nullptr only for a pinned acquire past the pinned cap.
-  Entry* acquire_entry(std::uint64_t model_tag, bool pinned,
-                       bool check_pinned_cap = true);
-  void release_entry(Entry* entry, std::uint64_t model_tag, bool poisoned,
-                     bool pinned);
-  void discard_entry(Entry* entry, bool pinned);
+  Entry* acquire_entry(std::uint64_t model_tag);
+  void release_entry(Entry* entry, std::uint64_t model_tag, bool poisoned);
+  void discard_entry(Entry* entry);
   std::unique_ptr<Entry> build_entry() const;
   /// Enters `e` into the free index under its current model_tag (pool mutex
   /// held by the caller).
@@ -217,9 +188,6 @@ class EnginePool {
   std::uint64_t free_epoch_ = 0;
   std::size_t free_count_ = 0;
   unsigned building_ = 0;  ///< constructions in flight outside the lock
-  /// Engines held by pinned leases (constructions for them included).
-  /// Unpinned capacity is entries_ + building_ - pinned_.
-  unsigned pinned_ = 0;
   std::uint64_t leases_ = 0;
   std::uint64_t warm_leases_ = 0;
   std::uint64_t quarantined_ = 0;

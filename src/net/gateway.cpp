@@ -491,8 +491,8 @@ void GatewayServer::teardown(std::uint64_t conn_id) {
 
 void GatewayServer::reap_conn_sessions(std::uint64_t conn_id) {
   // The half-close fix: sessions this connection opened are closed *now*
-  // (through InferenceServer::close_session, freeing the engine lease and
-  // the tenant's quota slot) instead of idling until heartbeat expiry.
+  // (through InferenceServer::close_session, freeing the tenant's quota
+  // slot) instead of idling until heartbeat expiry.
   std::uint64_t reaped = 0;
   for (auto sit = sessions_.begin(); sit != sessions_.end();) {
     if (sit->second.owner_conn == conn_id) {
@@ -704,9 +704,6 @@ HttpResponse GatewayServer::handle_session_open(std::uint64_t conn_id,
   std::shared_ptr<serve::StreamingSession> session;
   try {
     session = server_.open_session(*model, std::move(so));
-  } catch (const serve::DispatchRefused& e) {
-    count_dispatch_rejected();
-    return error_response(503, e.what());
   } catch (const serve::TenantOverload& e) {
     return error_response(503, e.what());
   } catch (const ConfigError& e) {

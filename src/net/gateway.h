@@ -9,13 +9,14 @@
 // fd — it accepts, polls, reads request bytes into per-connection
 // HttpParsers, runs the route handlers, and writes serialized responses
 // back (all nonblocking). No handler blocks: /healthz, /metrics, auth,
-// session open and close answer at once (opening a session plans and pins
-// an engine without simulating), while /v1/infer and session feeds submit
-// to the InferenceServer and register a Ticket::on_settled callback. The
-// dispatch worker that settles the ticket builds the HTTP response (SNE1
-// encode included), posts it to the gateway's completion inbox and wakes
-// the IO thread through a self-pipe. A connection with a request in flight
-// is still polled (events = 0) so a client hang-up is noticed promptly.
+// session open and close answer at once (opening a session plans the
+// pipeline without leasing an engine or simulating), while /v1/infer and
+// session feeds submit to the InferenceServer and register a
+// Ticket::on_settled callback. The dispatch worker that settles the ticket
+// builds the HTTP response (SNE1 encode included), posts it to the
+// gateway's completion inbox and wakes the IO thread through a self-pipe.
+// A connection with a request in flight is still polled (events = 0) so a
+// client hang-up is noticed promptly.
 //
 // Endpoints:
 //   GET  /healthz                  liveness ("ok"); unauthenticated
@@ -44,11 +45,11 @@
 // Error mapping (the serve-layer taxonomy surfaced as HTTP):
 //   DeadlineExceeded         504   X-Sne-Timeout-Ms budget burned
 //   TenantOverload           503 + Retry-After (queue displacement,
-//                                  tenant eviction, session quota)
+//                                  tenant eviction, session quota:
+//                                  max_sessions, 64 by default)
 //   try_submit queue-full    503 + Retry-After
 //   DispatchRefused          503 + Retry-After (session FIFO full, chunk
-//                                  refused by a full tenant queue, every
-//                                  engine pinned at session open)
+//                                  refused by a full tenant queue)
 //   SessionClosed            410
 //   unknown model / session  404   (ConfigError from resolve also 400)
 //   ChunkError / FaultError  500
@@ -114,8 +115,8 @@ struct GatewayStats {
   std::uint64_t peak_connections = 0;
   std::uint64_t accept_rejected = 0;    ///< connection cap 503s
   std::uint64_t accept_faults = 0;      ///< net.accept injections torn
-  /// 503s answered because the server refused dispatch: tenant queue full,
-  /// session chunk FIFO full, or no engine free for a new session.
+  /// 503s answered because the server refused dispatch: tenant queue full
+  /// or session chunk FIFO full.
   std::uint64_t dispatch_rejected = 0;
   std::uint64_t requests = 0;           ///< complete requests parsed
   std::uint64_t responses_2xx = 0;

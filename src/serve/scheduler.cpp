@@ -12,6 +12,8 @@ void TenantConfig::validate() const {
                       "would never be served)");
   if (max_queue == 0)
     throw ConfigError("tenant max_queue must be >= 1");
+  if (max_sessions == 0)
+    throw ConfigError("tenant max_sessions must be >= 1");
 }
 
 namespace detail {

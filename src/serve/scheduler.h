@@ -55,8 +55,9 @@ struct TenantConfig {
   /// Bounded queue quota; a push beyond it sheds within the tenant (see
   /// header comment) or reports overload.
   std::size_t max_queue = 64;
-  /// Cap on concurrently open streaming sessions (0 = no cap).
-  unsigned max_sessions = 0;
+  /// Cap on concurrently open streaming sessions. Sessions hold no engine
+  /// between chunks, so this quota is what bounds them.
+  unsigned max_sessions = 64;
 
   void validate() const;
 };
@@ -78,9 +79,8 @@ class TenantOverload : public std::runtime_error {
 };
 
 /// The overload answer for work the server had no room to dispatch: a
-/// session chunk its tenant's full queue refused, a full session chunk
-/// FIFO, or a session open that found every engine already pinned. The
-/// gateway counts these 503s as GatewayStats::dispatch_rejected.
+/// session chunk its tenant's full queue refused, or a full session chunk
+/// FIFO. The gateway counts these 503s as GatewayStats::dispatch_rejected.
 class DispatchRefused : public TenantOverload {
  public:
   using TenantOverload::TenantOverload;
@@ -379,8 +379,7 @@ class FairScheduler {
     const auto it = tenants_.find(tenant);
     if (it == tenants_.end() || it->second->gone) return false;
     detail::TenantCore& core = it->second->core;
-    const unsigned cap = core.cfg().max_sessions;
-    if (cap != 0 && core.sessions_open() >= cap) return false;
+    if (core.sessions_open() >= core.cfg().max_sessions) return false;
     core.note_session_opened();
     return true;
   }

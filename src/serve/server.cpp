@@ -43,10 +43,10 @@ InferenceServer::InferenceServer(const ModelRegistry& registry,
 }
 
 InferenceServer::~InferenceServer() {
-  // Close streaming sessions first: their engine leases must return to the
-  // pool (a member destroyed after this body). Closing is graceful — a busy
-  // session still runs its admitted chunks on the workers — so wait for
-  // each to finish while the scheduler still takes its re-pushes.
+  // Close streaming sessions first: a session reports its close to the
+  // scheduler (a member destroyed after this body). Closing is graceful — a
+  // busy session still runs its admitted chunks on the workers — so wait
+  // for each to finish while the scheduler still takes its re-pushes.
   std::vector<std::shared_ptr<StreamingSession>> sessions;
   {
     std::lock_guard<std::mutex> lk(sessions_m_);
@@ -72,10 +72,10 @@ void InferenceServer::evict_tenant(const std::string& name) {
     throw ConfigError("the default tenant cannot be evicted");
   if (!sched_.has_tenant(name))
     throw ConfigError("unknown tenant '" + name + "'");
-  // Close the tenant's sessions first (idle ones release their leases at
-  // once), then purge the tenant's queue: dropped session chunks fail, and
-  // the sessions' waiting chunks fail on the refused re-push, so nothing of
-  // the tenant is queued once evict_tenant returns (requests and chunks
+  // Close the tenant's sessions first (idle ones finish at once), then
+  // purge the tenant's queue: dropped session chunks fail, and the
+  // sessions' waiting chunks fail on the refused re-push, so nothing of the
+  // tenant is queued once evict_tenant returns (requests and chunks
   // already popped by a worker still finish — their tickets were promised).
   std::vector<std::shared_ptr<StreamingSession>> to_close;
   {
@@ -352,8 +352,9 @@ void InferenceServer::process(Request& req, const std::string& tenant) {
         "expired in queue: deadline passed before dispatch"));
   }
   if (!error && req.session) {
-    // Session chunk: one attempt on the session's pinned engine — a failed
-    // chunk is the session's to recover (respawn on the next chunk).
+    // Session chunk: one attempt on an engine the session leases — a failed
+    // chunk is the session's to recover (the next chunk restores its
+    // snapshot).
     error = req.session->run_chunk(req.input, result);
   }
   const std::uint64_t fp = opts_.warm_weights ? req.model_fp : 0;
@@ -389,7 +390,7 @@ void InferenceServer::process(Request& req, const std::string& tenant) {
     }
   }
   // A session is idle (or has its next chunk queued) before this chunk
-  // settles: a client that closes on the answer finds the engine free.
+  // settles: a client that closes on the answer finds it closable at once.
   if (req.session) req.session->chunk_done(!error);
   const double lat_ms = ms_since(req.submitted_at);
   {

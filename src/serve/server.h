@@ -32,15 +32,15 @@
 // pooled engine; submit() and try_submit() only queue, and a caller that
 // must not block takes Ticket::on_settled instead of Ticket::wait().
 //
-// Streaming: open_session() pins an engine for a long-lived
-// StreamingSession (chunked event-stream inference with carried neuron
-// state, heartbeat timeouts, crash recovery via neuron-state snapshots —
-// see serve/session.h). Its chunks are requests in the session tenant's
-// lane, run by the same dispatch workers on the pinned engine and counted
-// in the same ledgers; at most `engines` sessions are open at once, and
-// one-shot requests never wait for a pinned engine. Sessions close on
-// tenant eviction. A worker also sweeps the open sessions' heartbeat
-// clocks at most every 100 ms.
+// Streaming: open_session() opens a long-lived StreamingSession (chunked
+// event-stream inference with carried neuron state, heartbeat timeouts,
+// crash recovery via neuron-state snapshots — see serve/session.h). Its
+// chunks are requests in the session tenant's lane, run by the same
+// dispatch workers on an engine leased per chunk and counted in the same
+// ledgers. A session holds no engine between chunks, so the open-session
+// count is bounded by each tenant's max_sessions quota, not by `engines`.
+// Sessions close on tenant eviction. A worker also sweeps the open
+// sessions' heartbeat clocks at most every 100 ms.
 //
 // Fault tolerance: requests can carry a deadline (RequestOptions) — expired
 // work is shed at admission or pre-dispatch with a DeadlineExceeded ticket,
@@ -217,12 +217,11 @@ class InferenceServer {
                                    RequestOptions ropts = {});
 
   /// Opens a streaming session against `model` for `sopts.tenant` (see
-  /// serve/session.h): plans the model in pipeline mode and pins an engine
-  /// for the session lifetime without waiting or simulating (the first
-  /// chunk programs it); chunks account to the tenant. Throws ConfigError
-  /// (unknown model/tenant, model unfit for pipeline mode), TenantOverload
-  /// (session quota exhausted) or DispatchRefused (all `engines` engines
-  /// already pinned by open sessions).
+  /// serve/session.h): plans the model in pipeline mode without waiting,
+  /// leasing or simulating (each chunk leases and programs an engine);
+  /// chunks account to the tenant. Throws ConfigError (unknown
+  /// model/tenant, model unfit for pipeline mode) or TenantOverload
+  /// (session quota exhausted).
   std::shared_ptr<StreamingSession> open_session(const std::string& model,
                                                  SessionOptions sopts = {});
 
@@ -230,10 +229,10 @@ class InferenceServer {
   /// reference to it immediately. This is the half-close path for network
   /// front ends: when a client tears its connection mid-session, the gateway
   /// calls this instead of leaving the session to idle until heartbeat
-  /// expiry, so the engine lease and the tenant's session-quota slot free
-  /// promptly (at once when the session is idle, else when its admitted
-  /// chunks settle). Never blocks; idempotent; sessions the server doesn't
-  /// know are still closed.
+  /// expiry, so the tenant's session-quota slot frees promptly (at once
+  /// when the session is idle, else when its admitted chunks settle).
+  /// Never blocks; idempotent; sessions the server doesn't know are still
+  /// closed.
   void close_session(const std::shared_ptr<StreamingSession>& session);
 
   /// Never-registered vs active vs evicted — the gateway's 401-vs-403
@@ -262,7 +261,7 @@ class InferenceServer {
     std::chrono::steady_clock::time_point submitted_at;
     std::optional<std::chrono::steady_clock::time_point> deadline;
     std::string tenant;
-    /// Set for a session chunk: runs on the session's pinned engine.
+    /// Set for a session chunk: the session runs it (run_chunk).
     std::shared_ptr<StreamingSession> session;
   };
 

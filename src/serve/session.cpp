@@ -3,6 +3,7 @@
 #include <exception>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/fault_injection.h"
 #include "obs/trace.h"
@@ -34,15 +35,9 @@ StreamingSession::StreamingSession(ecnn::EnginePool& pool,
                       std::to_string(kMaxHorizonTimesteps) +
                       "] (8-bit event timestamps)");
   // The plan step runs here so pipeline-mode config errors (multi-pass
-  // layers, too many layers for the slice count) surface at open; the first
-  // chunk programs the engine.
+  // layers, too many layers for the slice count) surface at open; every
+  // chunk programs the engine it leases.
   plan_ = ecnn::plan_pipeline(pool_.hw(), *model, opts_.horizon_timesteps);
-  std::optional<ecnn::EnginePool::Lease> pinned = pool_.try_acquire_pinned();
-  if (!pinned)
-    throw DispatchRefused(
-        "no engine free for a new session: every engine is pinned by an "
-        "open session");
-  lease_.emplace(std::move(*pinned));
 }
 
 StreamingSession::~StreamingSession() { close(); }
@@ -119,7 +114,6 @@ SessionStats StreamingSession::stats() {
   s.chunks_submitted = chunks_submitted_;
   s.chunks_completed = chunks_completed_;
   s.chunks_failed = chunks_failed_;
-  s.respawns = respawns_;
   s.timesteps_consumed = timesteps_consumed_;
   s.closed = closed_;
   s.expired = expired_;
@@ -148,7 +142,6 @@ bool StreamingSession::claim_finish_locked() {
 }
 
 void StreamingSession::finish() {
-  lease_.reset();  // release (and machine-reset) the engine
   {
     std::lock_guard<std::mutex> lk(m_);
     closed_ = true;
@@ -214,29 +207,6 @@ void StreamingSession::count_chunk(bool success) {
   if (server_ != nullptr) server_->sched_.note_chunk(opts_.tenant, success);
 }
 
-void StreamingSession::ensure_engine() {
-  if (lease_->poisoned()) {
-    // Respawn: the failed chunk's engine is discarded for a fresh one.
-    pool_.respawn(*lease_);
-    programmed_ = false;
-    std::lock_guard<std::mutex> lk(m_);
-    ++respawns_;
-  }
-  if (programmed_) return;
-  try {
-    // Full reset first: on a weight-resident pool the lease may carry slice
-    // programming from earlier time-multiplexed traffic, and the strict
-    // replay tier needs a machine indistinguishable from new under it.
-    lease_->engine().reset();
-    ecnn::program_pipeline(lease_->engine(), plan_);
-    if (have_snapshot_) lease_->engine().restore_neuron_state(snapshot_);
-  } catch (...) {
-    lease_->poison();
-    throw;
-  }
-  programmed_ = true;
-}
-
 std::exception_ptr StreamingSession::run_chunk(
     const event::EventStream& input, ecnn::NetworkRunStats& result) {
   obs::ScopedSpan chunk_span("serve.chunk", t_base_);
@@ -250,8 +220,6 @@ std::exception_ptr StreamingSession::run_chunk(
     return std::make_exception_ptr(ChunkError(os.str()));
   }
   try {
-    ensure_engine();
-    faults::check("serve.session.chunk");
     // Rebase the chunk onto the session clock. Only the session's first
     // chunk resets neuron state; continuation chunks integrate on top of
     // the membranes the previous chunk left behind.
@@ -265,29 +233,44 @@ std::exception_ptr StreamingSession::run_chunk(
       e.t = static_cast<std::uint16_t>(e.t + t0);
       abs.push(e);
     }
+    const std::vector<event::Beat> beats = abs.to_beats();
     core::RunOptions ro;
     ro.out_geometry = plan_.out_geometry;
     ro.out_geometry.timesteps = abs_geom.timesteps;
-    obs::ScopedSpan sim_span("ecnn.simulate", t0);
-    core::RunResult r = lease_->engine().run(abs.to_beats(), ro);
-    result.cycles = r.cycles;
-    result.total = r.counters;
-    result.final_output = std::move(r.output);
+    // Each chunk leases an ordinary engine; its machine state was reset
+    // when the previous lease released it. Scrubbing the programming
+    // earlier traffic left makes it indistinguishable from new under the
+    // pipeline (the strict replay tier needs that), then the last good
+    // chunk boundary is restored onto the programmed slices.
+    ecnn::EnginePool::Lease lease = pool_.acquire();
+    try {
+      core::SneEngine& engine = lease.engine();
+      engine.scrub_programming();
+      ecnn::program_pipeline(engine, plan_);
+      if (have_snapshot_) engine.restore_neuron_state(snapshot_);
+      faults::check("serve.session.chunk");
+      obs::ScopedSpan sim_span("ecnn.simulate", t0);
+      core::RunResult r = engine.run(beats, ro);
+      result.cycles = r.cycles;
+      result.total = r.counters;
+      result.final_output = std::move(r.output);
+      // The carried neuron state is the new recovery point.
+      engine.save_neuron_state(snapshot_);
+    } catch (...) {
+      // Quarantine the engine: nothing certifies its state mid-chunk.
+      lease.poison();
+      throw;
+    }
   } catch (const std::exception& e) {
-    // Quarantine the engine (nothing certifies its state mid-chunk) and
-    // fail only this chunk, diagnosably. The snapshot still holds the last
-    // good chunk boundary; the next chunk respawns and restores it.
-    lease_->poison();
+    // Fail only this chunk, diagnosably. The snapshot still holds the last
+    // good chunk boundary; the next chunk restores it.
     std::ostringstream os;
     os << "session chunk over session timesteps [" << t0 << ", "
        << t0 + chunk_t << ") failed: " << e.what()
        << "; session state rolled back to timestep " << t0;
     return std::make_exception_ptr(ChunkError(os.str()));
   }
-  // Success: advance the session clock and snapshot the carried neuron
-  // state as the new recovery point.
   t_base_ = static_cast<std::uint16_t>(t0 + chunk_t);
-  lease_->engine().save_neuron_state(snapshot_);
   have_snapshot_ = true;
   return nullptr;
 }

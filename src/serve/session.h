@@ -1,14 +1,20 @@
 // StreamingSession: crash-tolerant incremental inference over a long-lived
 // event stream (the DVS-gesture-style workload the SNE paper targets).
 //
-// A session maps the whole model onto one pooled engine in *pipeline
-// operating mode* (ecnn::build_pipeline, paper III-D.5: one slice per layer,
-// chained C-XBAR routes) and keeps the engine leased for the session's
-// lifetime. The client feeds event-stream chunks in chunk-local time; the
-// session rebases them onto the running session clock, runs them to
-// quiescence, and fulfills one ticket per chunk with that chunk's output
-// events and activity counters. Neuron state (membranes + TLU timestamps)
-// is deliberately *not* reset between chunks — only the first chunk carries
+// A session maps the whole model in *pipeline operating mode*
+// (ecnn::plan_pipeline, paper III-D.5: one slice per layer, chained C-XBAR
+// routes) and holds no engine between chunks: between chunks it is data —
+// the plan, a neuron-state snapshot and a chunk FIFO. Each chunk leases an
+// ordinary pooled engine, scrubs its programming, programs the pipeline,
+// restores the snapshot, runs, snapshots again and releases the lease, so
+// open sessions are bounded by the tenant's session quota, not by the
+// engine count.
+//
+// The client feeds event-stream chunks in chunk-local time; the session
+// rebases them onto the running session clock, runs them to quiescence, and
+// fulfills one ticket per chunk with that chunk's output events and
+// activity counters. Neuron state (membranes + TLU timestamps) is
+// deliberately *not* reset between chunks — only the first chunk carries
 // the RST — so membrane integration carries across chunk boundaries exactly
 // as if the concatenated stream had been run in one shot.
 //
@@ -23,32 +29,29 @@
 //     may differ because each chunk boundary rewinds collector arbitration
 //     and drains to quiescence).
 //
-// Crash tolerance: after every successful chunk the session snapshots the
-// engine's neuron state (SneEngine::save_neuron_state). A chunk that throws
-// — injected fault at `serve.session.chunk`, engine contract violation,
-// pool failure — poisons the lease (the pool quarantines the engine, the
-// PR-6 respawn discipline) and fails *only that chunk's* ticket with a
-// diagnosable ChunkError naming the timestep range and cause. The next
-// chunk respawns onto a fresh engine: reprogram the pipeline, restore the
-// snapshot, and the session continues bitwise as if the failed chunk had
-// simply never been fed.
+// Crash tolerance: a chunk that throws — injected fault at
+// `serve.session.chunk`, engine contract violation, pool failure — poisons
+// its lease (the pool quarantines the engine, as for a one-shot request)
+// and fails *only that chunk's* ticket with a diagnosable ChunkError naming
+// the timestep range and cause. The snapshot still holds the last good
+// chunk boundary, so the next chunk restores it like any other and the
+// session continues bitwise as if the failed chunk had never been fed.
 //
 // Threading: a session owns no thread and feed() never blocks. Chunks wait
 // in a session FIFO (at most 8); a server-opened session keeps one of them
 // at a time in its tenant's lane of the InferenceServer's scheduler, and
-// the dispatch worker that runs it on the pinned engine pushes the next.
-// Chunks stay serial per session while DRR interleaves them with one-shot
-// requests. A standalone session (no server: the serial reference in
-// tests) runs each chunk inline in feed(), through the same run_chunk.
+// the dispatch worker that runs it pushes the next. Chunks stay serial per
+// session while DRR interleaves them with one-shot requests. A standalone
+// session (no server: the serial reference in tests) runs each chunk
+// inline in feed(), through the same run_chunk.
 //
-// Lifecycle: open (pipeline planned, one engine pinned; the first chunk
-// programs it) -> feed*/heartbeat* -> close. close() never joins: an idle
-// session finishes at once, a busy one when its last admitted chunk
-// settles. Heartbeat expiry is lazy (feed, heartbeat, closed and stats
-// check the idle clock; server workers sweep every 100 ms) and only takes
-// a session with nothing queued or running. Tenant eviction closes the
-// tenant's sessions and drops their queued chunks. feed() after
-// close/expiry throws SessionClosed.
+// Lifecycle: open (pipeline planned, no engine touched) -> feed*/heartbeat*
+// -> close. close() never joins: an idle session finishes at once, a busy
+// one when its last admitted chunk settles. Heartbeat expiry is lazy (feed,
+// heartbeat, closed and stats check the idle clock; server workers sweep
+// every 100 ms) and only takes a session with nothing queued or running.
+// Tenant eviction closes the tenant's sessions and drops their queued
+// chunks. feed() after close/expiry throws SessionClosed.
 #pragma once
 
 #include <chrono>
@@ -108,8 +111,6 @@ struct SessionStats {
   /// chunks_completed + chunks_failed reaches chunks_submitted once the
   /// session drains.
   std::uint64_t chunks_failed = 0;
-  /// Engine replacements after a chunk failure (the respawn path ran).
-  std::uint64_t respawns = 0;
   std::uint16_t timesteps_consumed = 0;  ///< session clock position
   bool closed = false;
   bool expired = false;  ///< closed by the heartbeat watchdog
@@ -120,12 +121,11 @@ class InferenceServer;
 class StreamingSession
     : public std::enable_shared_from_this<StreamingSession> {
  public:
-  /// Plans the model as a pipeline and pins one engine of `pool` without
-  /// programming it. `server` (open_session passes itself; the session must
-  /// then be owned by a shared_ptr) runs the chunks on its dispatch
-  /// workers; null = standalone. Throws ConfigError when the model cannot
-  /// run in pipeline mode or the horizon does not fit the 8-bit event
-  /// clock, DispatchRefused past the pool's pinned-lease cap.
+  /// Plans the model as a pipeline; each chunk leases an engine of `pool`.
+  /// `server` (open_session passes itself; the session must then be owned
+  /// by a shared_ptr) runs the chunks on its dispatch workers; null =
+  /// standalone. Throws ConfigError when the model cannot run in pipeline
+  /// mode or the horizon does not fit the 8-bit event clock.
   StreamingSession(ecnn::EnginePool& pool, ModelRegistry::ModelPtr model,
                    SessionOptions opts, InferenceServer* server = nullptr);
   ~StreamingSession();
@@ -147,7 +147,7 @@ class StreamingSession
   void heartbeat();
 
   /// Graceful close: admission stops immediately, admitted chunks still
-  /// run, the engine lease releases once none is left. Never blocks;
+  /// run, and the session finishes once none is left. Never blocks;
   /// idempotent; safe to call concurrently with feed().
   void close();
 
@@ -171,13 +171,10 @@ class StreamingSession
     std::optional<std::chrono::steady_clock::time_point> deadline;
   };
 
-  /// Runs one chunk on the pinned engine (caller holds busy_). Null on
-  /// success, else the chunk's error.
+  /// Runs one chunk on a freshly leased engine (caller holds busy_). Null
+  /// on success, else the chunk's error.
   std::exception_ptr run_chunk(const event::EventStream& input,
                                ecnn::NetworkRunStats& result);
-  /// Respawns a poisoned engine, then programs the pipeline and restores
-  /// the last snapshot if the engine does not hold them yet.
-  void ensure_engine();
   /// With busy_ set: runs waiting chunks inline or hands the next one to
   /// the server; once the FIFO is empty clears busy_ (finishing a closing
   /// session).
@@ -190,18 +187,16 @@ class StreamingSession
   /// Lock held: close requested, nothing queued or running, and this
   /// caller is the one to run finish().
   bool claim_finish_locked();
-  void finish();  ///< releases the lease and reports the close
+  void finish();  ///< marks the session closed and reports the close
 
   ecnn::EnginePool& pool_;
   SessionOptions opts_;
   InferenceServer* server_;
   ecnn::PipelinePlan plan_;
 
-  // Runner state: touched only by the thread holding busy_, and finish().
-  std::optional<ecnn::EnginePool::Lease> lease_;
+  // Runner state: touched only by the thread holding busy_.
   core::SneEngine::NeuronState snapshot_;
   bool have_snapshot_ = false;
-  bool programmed_ = false;
   std::uint16_t t_base_ = 0;  ///< session clock (runner mirror of stats)
 
   mutable std::mutex m_;
@@ -210,7 +205,6 @@ class StreamingSession
   std::uint64_t chunks_submitted_ = 0;
   std::uint64_t chunks_completed_ = 0;
   std::uint64_t chunks_failed_ = 0;
-  std::uint64_t respawns_ = 0;
   std::uint16_t timesteps_consumed_ = 0;
   bool close_requested_ = false;
   bool finish_claimed_ = false;

@@ -633,7 +633,7 @@ std::optional<net::ClientResponse> answer_within(
   }
 }
 
-TEST(GatewayTest, PinnedEnginesNeverBlockTheFrontDoor) {
+TEST(GatewayTest, SessionsOutnumberEnginesAndNeverBlockTheFrontDoor) {
   net::GatewayConfig gc = Stack::anonymous_config();
   gc.bearer_tokens["sk-s"] = "streamer";
   Stack stack(gc);  // engines = 2
@@ -641,13 +641,34 @@ TEST(GatewayTest, PinnedEnginesNeverBlockTheFrontDoor) {
   const std::vector<std::pair<std::string, std::string>> auth = {
       {"Authorization", "Bearer sk-s"}};
 
-  // Two sessions pin both engines.
-  net::HttpClient s1 = stack.connect();
-  net::HttpClient s2 = stack.connect();
-  ASSERT_EQ(s1.request("POST", "/v1/session/open?model=pipe", auth).status,
-            200);
-  ASSERT_EQ(s2.request("POST", "/v1/session/open?model=pipe", auth).status,
-            200);
+  // In-process reference: each session's first chunk through its own
+  // session on the same server.
+  std::vector<std::string> chunks, ref_bodies, ref_cycles;
+  for (std::uint64_t seed : {41u, 42u, 43u}) {
+    const auto chunk = data::random_stream({1, 16, 16, 4}, 0.1, seed);
+    serve::SessionOptions sopts;
+    sopts.horizon_timesteps = 16;
+    auto s = stack.server->open_session("pipe", sopts);
+    const NetworkRunStats r = s->feed(chunk).wait();
+    stack.server->close_session(s);
+    chunks.push_back(event::encode_stream(chunk));
+    ref_bodies.push_back(event::encode_stream(r.final_output));
+    ref_cycles.push_back(std::to_string(r.cycles));
+  }
+
+  // Three sessions on two engines: a session holds no engine between
+  // chunks, so every open answers 200.
+  std::vector<std::unique_ptr<net::HttpClient>> clients;
+  std::vector<std::string> sids;
+  for (int i = 0; i < 3; ++i) {
+    clients.push_back(std::make_unique<net::HttpClient>(
+        "127.0.0.1", stack.gateway->port(), 15.0));
+    const net::ClientResponse open = clients.back()->request(
+        "POST", "/v1/session/open?model=pipe",
+        {auth[0], {"X-Sne-Horizon", "16"}});
+    ASSERT_EQ(open.status, 200) << "open " << i << ": " << open.body;
+    sids.push_back(open.body);
+  }
 
   const auto exchange = [&](std::string method, std::string target,
                             std::string body, bool authed) {
@@ -661,10 +682,6 @@ TEST(GatewayTest, PinnedEnginesNeverBlockTheFrontDoor) {
                        body);
     });
   };
-  // A third open finds no engine free: an immediate 503 + Retry-After,
-  // never a parked handler.
-  auto third = exchange("POST", "/v1/session/open?model=pipe", "", true);
-  const auto r3 = answer_within(third, std::chrono::milliseconds(1000));
   // The front door stays live, and a one-shot still gets an engine.
   auto health = exchange("GET", "/healthz", "", false);
   const auto rh = answer_within(health, std::chrono::milliseconds(1000));
@@ -672,18 +689,39 @@ TEST(GatewayTest, PinnedEnginesNeverBlockTheFrontDoor) {
       "POST", "/v1/infer?model=tiny",
       event::encode_stream(data::random_stream({1, 8, 8, 4}, 0.1, 23)), false);
   const auto ri = answer_within(infer, std::chrono::milliseconds(5000));
-  // Free the pinned engines before the futures join, so a front door that
-  // did wedge above unparks instead of hanging the suite.
+  // Each session's chunk matches its in-process reference.
+  for (std::size_t i = 0; i < sids.size(); ++i) {
+    const net::ClientResponse r = clients[i]->request(
+        "POST", "/v1/session/" + sids[i] + "/feed", auth, chunks[i]);
+    ASSERT_EQ(r.status, 200) << "session " << i << ": " << r.body;
+    const std::string* cycles = r.header("x-sne-cycles");
+    ASSERT_NE(cycles, nullptr);
+    EXPECT_EQ(*cycles, ref_cycles[i]) << "session " << i;
+    EXPECT_EQ(r.body, ref_bodies[i]) << "session " << i;
+  }
   stack.server->evict_tenant("streamer");
 
-  ASSERT_TRUE(r3.has_value()) << "third open got no answer within 1 s";
-  EXPECT_EQ(r3->status, 503) << r3->body;
-  EXPECT_NE(r3->header("retry-after"), nullptr);
   ASSERT_TRUE(rh.has_value()) << "/healthz got no answer within 1 s";
   EXPECT_EQ(rh->status, 200);
   ASSERT_TRUE(ri.has_value()) << "/v1/infer got no answer within 5 s";
   EXPECT_EQ(ri->status, 200) << ri->body;
-  EXPECT_EQ(stack.gateway->stats().dispatch_rejected, 1u);
+  EXPECT_EQ(stack.gateway->stats().dispatch_rejected, 0u);
+}
+
+TEST(GatewayTest, DefaultSessionQuotaAnswers503) {
+  Stack stack;
+  // A tenant that sets no quota still has one: the 65th open of the
+  // default tenant is a TenantOverload, surfaced as 503 + Retry-After.
+  net::HttpClient c = stack.connect();
+  for (int i = 0; i < 64; ++i)
+    ASSERT_EQ(c.request("POST", "/v1/session/open?model=pipe").status, 200)
+        << "open " << i;
+  const net::ClientResponse r =
+      c.request("POST", "/v1/session/open?model=pipe");
+  EXPECT_EQ(r.status, 503) << r.body;
+  EXPECT_NE(r.header("retry-after"), nullptr);
+  EXPECT_NE(r.body.find("max_sessions"), std::string::npos) << r.body;
+  EXPECT_EQ(stack.gateway->stats().dispatch_rejected, 0u);
 }
 
 // --- graceful drain ----------------------------------------------------------

@@ -14,8 +14,8 @@
 //   * warm runs keep the relaxed-tier arithmetic identity exactly, because
 //     the skipped WLOAD programs drew from private streams the sample
 //     programs never observe;
-//   * a session whose engine is respawned mid-stream replays the stalls of
-//     an undisturbed one.
+//   * a session that recovers from a crashed chunk mid-stream replays the
+//     stalls of an undisturbed one.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -258,9 +258,9 @@ TEST(RngStreamsTest, ServingFrontEndsAcceptStreamSplitStalls) {
   EXPECT_GT(warm_server.submit("m", in).wait().cycles, 0u);
 }
 
-TEST(RngStreamsTest, SessionRespawnReplaysStalls) {
-  // A chunk that crashes mid-session quarantines the engine; the next chunk
-  // respawns a fresh one and restores the last good snapshot. Its stalls
+TEST(RngStreamsTest, SessionRecoveryReplaysStalls) {
+  // A chunk that crashes mid-session quarantines its engine; the next chunk
+  // leases another and restores the last good snapshot. Its stalls
   // are keyed by its own program, so every surviving chunk is bitwise
   // identical to the same chunks fed through an undisturbed session.
   QuantizedNetwork net;
@@ -297,7 +297,7 @@ TEST(RngStreamsTest, SessionRespawnReplaysStalls) {
   }
   victim.close();
   ASSERT_EQ(survived_idx, (std::vector<std::size_t>{0, 2, 3}));
-  EXPECT_EQ(victim.stats().respawns, 1u);
+  EXPECT_EQ(pool.stats().quarantined, 1u);
 
   serve::StreamingSession replay(pool, model, sopts);
   ecnn::EnginePoolOptions quiet_po;

@@ -743,6 +743,83 @@ TEST(ServerTest, WarmServingEliminatesWloadStreamingSteadyState) {
             st.passes_total - ref[0].passes_total);  // all but request 0
 }
 
+TEST(ServerTest, SessionsAndWarmOneShotsShareOneEngine) {
+  // One engine, warm weights on: one-shots of two models interleave with
+  // chunks of two pipeline sessions. A session chunk reprograms slices
+  // 0..L-1 of the engine it leases, so the per-slice residency tags must
+  // make the next one-shot reprogram them; each answer equals its cold
+  // reference (relaxed tier for one-shots, strict for session chunks).
+  const SneConfig hw = SneConfig::paper_design_point(2);
+  const auto pipe = [](std::uint64_t seed) {
+    QuantizedNetwork net;
+    net.layers.push_back(conv_layer(1, 16, 2, 4, seed));
+    net.layers.push_back(conv_layer(2, 16, 2, 5, seed + 1));
+    return net;
+  };
+  QuantizedNetwork b;
+  b.layers.push_back(conv_layer(1, 16, 2, 4, 99));
+  serve::ModelRegistry registry;
+  registry.put("a", three_layer_net());
+  registry.put("b", b);
+  registry.put("p", pipe(31));
+  registry.put("q", pipe(41));
+
+  constexpr std::size_t kRounds = 3;
+  std::vector<event::EventStream> one_shot, chunks_p, chunks_q;
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    one_shot.push_back(data::random_stream({1, 16, 16, 6}, 0.08, 900 + r));
+    chunks_p.push_back(data::random_stream({1, 16, 16, 4}, 0.1, 910 + r));
+    chunks_q.push_back(data::random_stream({1, 16, 16, 4}, 0.1, 920 + r));
+  }
+  ecnn::BatchOptions bo;
+  bo.memory_words = 1u << 20;
+  const auto cold = [&](const std::string& m) {
+    ecnn::BatchRunner batch(hw, *registry.get(m), bo);
+    std::vector<NetworkRunStats> out;
+    for (const auto& in : one_shot) out.push_back(batch.run_one(in));
+    return out;
+  };
+  const std::vector<NetworkRunStats> ref_a = cold("a"), ref_b = cold("b");
+  serve::SessionOptions sopts;
+  sopts.horizon_timesteps = 4 * kRounds;
+  const auto serial = [&](const std::string& m,
+                          const std::vector<event::EventStream>& chunks) {
+    ecnn::EnginePoolOptions po;
+    po.memory_words = 1u << 20;
+    ecnn::EnginePool pool(hw, 0, po);
+    serve::StreamingSession s(pool, registry.get(m), sopts);
+    std::vector<NetworkRunStats> out;
+    for (const auto& c : chunks) out.push_back(s.feed(c).wait());
+    return out;
+  };
+  const std::vector<NetworkRunStats> ref_p = serial("p", chunks_p);
+  const std::vector<NetworkRunStats> ref_q = serial("q", chunks_q);
+
+  serve::ServeOptions so;  // warm_weights defaults on
+  so.engines = 1;
+  so.memory_words = 1u << 20;
+  serve::InferenceServer server(registry, hw, so);
+  auto sp = server.open_session("p", sopts);
+  auto sq = server.open_session("q", sopts);
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    SCOPED_TRACE("round " + std::to_string(r));
+    // a twice: the second run finds a's weights resident and runs warm.
+    expect_warm_equivalent(ref_a[r], server.submit("a", one_shot[r]).wait());
+    expect_warm_equivalent(ref_a[r], server.submit("a", one_shot[r]).wait());
+    expect_equivalent(ref_p[r], sp->feed(chunks_p[r]).wait());
+    expect_warm_equivalent(ref_a[r], server.submit("a", one_shot[r]).wait());
+    expect_warm_equivalent(ref_b[r], server.submit("b", one_shot[r]).wait());
+    expect_equivalent(ref_q[r], sq->feed(chunks_q[r]).wait());
+    expect_warm_equivalent(ref_b[r], server.submit("b", one_shot[r]).wait());
+  }
+  server.close_session(sp);
+  server.close_session(sq);
+  const serve::ServerStats st = server.stats();
+  EXPECT_EQ(st.engines_constructed, 1u);
+  EXPECT_EQ(st.failed, 0u);
+  EXPECT_GT(st.passes_warm, 0u);  // residency did kick in between sessions
+}
+
 TEST(RegistryTest, RepointUnderLoadKeepsServingTheResolvedSnapshot) {
   // Swapping a name while requests are in flight: requests admitted before
   // the re-point keep executing the old immutable snapshot, later

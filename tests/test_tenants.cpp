@@ -7,9 +7,10 @@
 //     reorder and shed, but every completed result stays bitwise identical
 //     to the serial reference, and `completed + failed == submitted` holds
 //     per tenant as well as globally.
-//   - Sessions carry neuron state across chunks and across engine respawns:
-//     a mid-session crash loses only the in-flight chunk, and the chunks
-//     around it are bitwise identical to an undisturbed session.
+//   - Sessions carry neuron state across chunks through a snapshot that
+//     every chunk restores onto the engine it leases: a mid-session crash
+//     loses only the in-flight chunk, and the chunks around it are bitwise
+//     identical to an undisturbed session.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -339,6 +340,9 @@ TEST(FairSchedulerTest, ConfigValidation) {
   bad = TenantConfig{};
   bad.max_queue = 0;
   EXPECT_THROW(sched.register_tenant("q", bad), ConfigError);
+  bad = TenantConfig{};
+  bad.max_sessions = 0;  // sessions must stay bounded
+  EXPECT_THROW(sched.register_tenant("s", bad), ConfigError);
   sched.register_tenant("ok", TenantConfig{});
   EXPECT_THROW(sched.register_tenant("ok", TenantConfig{}), ConfigError);
 }
@@ -625,7 +629,7 @@ TEST(SessionTest, ChunkedReplayIsBitwiseAcrossSessions) {
   for (std::size_t i = 0; i < a.size(); ++i) expect_equivalent(a[i], b[i]);
 }
 
-TEST(SessionTest, RespawnLosesOnlyTheInflightChunk) {
+TEST(SessionTest, CrashLosesOnlyTheInflightChunk) {
   const QuantizedNetwork net = pipeline_net();
   const SneConfig hw = SneConfig::paper_design_point(2);
   const auto full = data::random_stream({1, 16, 16, 12}, 0.1, 456);
@@ -645,8 +649,9 @@ TEST(SessionTest, RespawnLosesOnlyTheInflightChunk) {
   }
 
   // Victim session: chunk 1's dispatch is killed by an injected fault. The
-  // session quarantines its engine, respawns, restores the snapshot — and
-  // chunks 0/2 come out bitwise identical to the undisturbed reference.
+  // session quarantines that chunk's engine, the next chunk restores the
+  // snapshot — and chunks 0/2 come out bitwise identical to the undisturbed
+  // reference.
   ecnn::EnginePool pool(hw, 0, session_pool_opts());
   serve::SessionOptions sopts;
   sopts.horizon_timesteps = 12;
@@ -678,10 +683,103 @@ TEST(SessionTest, RespawnLosesOnlyTheInflightChunk) {
   const serve::SessionStats st = s.stats();
   EXPECT_EQ(st.chunks_completed, 2u);
   EXPECT_EQ(st.chunks_failed, 1u);
-  EXPECT_EQ(st.respawns, 1u);
   EXPECT_EQ(st.timesteps_consumed, 8u);
   const ecnn::EnginePool::Stats ps = pool.stats();
   EXPECT_EQ(ps.quarantined, 1u);  // the poisoned engine was discarded
+}
+
+/// A chunk's beats as a session runs it: control events compiled in (the
+/// RST only on the first chunk) and rebased onto session time `t0`.
+std::vector<event::Beat> session_beats(const event::EventStream& chunk,
+                                       std::uint16_t t0) {
+  const event::EventStream ctl = chunk.with_control_events(
+      event::FirePolicy::kActiveStepsOnly, /*initial_reset=*/t0 == 0);
+  event::StreamGeometry g = chunk.geometry();
+  g.timesteps = static_cast<std::uint16_t>(t0 + g.timesteps);
+  event::EventStream abs(g);
+  for (event::Event e : ctl.events()) {
+    e.t = static_cast<std::uint16_t>(e.t + t0);
+    abs.push(e);
+  }
+  return abs.to_beats();
+}
+
+TEST(SessionTest, RestoredEngineContinuesTheRunBitwise) {
+  // The engine that ran chunk i-1 and a second engine, reset, programmed
+  // with the same pipeline and restored from the snapshot after chunk i-1,
+  // must run chunk i identically. Each slice's collector arbitration rewinds at the
+  // start pulse, so no grant order carries across runs (a dense stream
+  // makes same-timestep collector contention certain).
+  const QuantizedNetwork net = pipeline_net();
+  const SneConfig hw = SneConfig::paper_design_point(2);
+  constexpr std::uint16_t kChunk = 4;
+  const auto full = data::random_stream({1, 16, 16, 8 * kChunk}, 0.2, 808);
+  const auto chunks = split_chunks(full, kChunk);
+  const ecnn::PipelinePlan plan = ecnn::plan_pipeline(hw, net, 8 * kChunk);
+
+  SneEngine uninterrupted(hw, 1u << 20);
+  ecnn::program_pipeline(uninterrupted, plan);
+  SneEngine restored(hw, 1u << 20);
+  SneEngine::NeuronState snapshot;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const auto t0 = static_cast<std::uint16_t>(i * kChunk);
+    const auto beats = session_beats(chunks[i], t0);
+    core::RunOptions ro;
+    ro.out_geometry = plan.out_geometry;
+    ro.out_geometry.timesteps = static_cast<std::uint16_t>(t0 + kChunk);
+    const core::RunResult ref = uninterrupted.run(beats, ro);
+    if (i > 0) {
+      restored.reset();
+      ecnn::program_pipeline(restored, plan);
+      restored.restore_neuron_state(snapshot);
+      const core::RunResult got = restored.run(beats, ro);
+      EXPECT_EQ(ref.cycles, got.cycles) << "chunk " << i;
+      EXPECT_TRUE(ref.counters == got.counters) << "chunk " << i;
+      EXPECT_TRUE(ref.output == got.output) << "chunk " << i;
+    }
+    uninterrupted.save_neuron_state(snapshot);
+  }
+}
+
+TEST(SessionTest, DenseStreamSurvivesAnEarlyCrashBitwise) {
+  // At ~20 % activity, chunk 1 crashes; every later chunk must be bitwise
+  // what an undisturbed session fed the same surviving chunks answers.
+  const auto model = std::make_shared<const QuantizedNetwork>(pipeline_net());
+  const SneConfig hw = SneConfig::paper_design_point(2);
+  const auto chunks =
+      split_chunks(data::random_stream({1, 16, 16, 40}, 0.2, 909), 4);
+  ASSERT_EQ(chunks.size(), 10u);
+  serve::SessionOptions sopts;
+  sopts.horizon_timesteps = 40;
+
+  ecnn::EnginePool pool(hw, 0, session_pool_opts());
+  std::vector<NetworkRunStats> ref;
+  {
+    serve::StreamingSession s(pool, model, sopts);
+    for (std::size_t i = 0; i < chunks.size(); ++i)
+      if (i != 1) ref.push_back(s.feed(chunks[i]).wait());
+  }
+  std::vector<NetworkRunStats> got;
+  {
+    serve::StreamingSession s(pool, model, sopts);
+    faults::FaultConfig fc;
+    fc.rules.push_back({"serve.session.chunk", {2}, 0.0, 0.0});
+    faults::ScopedFaults chaos(fc);
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      serve::Ticket t = s.feed(chunks[i]);
+      if (i == 1) {
+        EXPECT_THROW(t.wait(), serve::ChunkError);
+        continue;
+      }
+      got.push_back(t.wait());
+    }
+  }
+  ASSERT_EQ(ref.size(), got.size());
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    SCOPED_TRACE("surviving chunk " + std::to_string(k));
+    expect_equivalent(ref[k], got[k]);
+  }
+  EXPECT_EQ(pool.stats().quarantined, 1u);
 }
 
 TEST(SessionTest, HeartbeatTimeoutExpiresIdleSessions) {
@@ -752,22 +850,6 @@ TEST(SessionTest, HorizonIsBoundedByTheEventClock) {
         << "chunk " << i;
   EXPECT_EQ(s.stats().timesteps_consumed, 256u);
   EXPECT_EQ(s.stats().chunks_failed, 0u);
-}
-
-TEST(SessionTest, PinnedLeasesHaveTheirOwnCapAndNeverBlockAcquire) {
-  ecnn::EnginePoolOptions po = session_pool_opts();
-  po.max_engines = 1;
-  ecnn::EnginePool pool(SneConfig::paper_design_point(2), 1, po);
-  auto pinned = pool.try_acquire_pinned();
-  ASSERT_TRUE(pinned.has_value());
-  // The pinned cap is reached: a second pinned lease is refused at once.
-  EXPECT_FALSE(pool.try_acquire_pinned().has_value());
-  // An unpinned acquire does not wait for the pinned engine: the pinned
-  // lease does not count against the unpinned cap.
-  { auto lease = pool.acquire(); }
-  EXPECT_EQ(pool.stats().constructed, 2u);
-  pinned.reset();
-  EXPECT_TRUE(pool.try_acquire_pinned().has_value());
 }
 
 // --- server-managed sessions -------------------------------------------------
@@ -871,6 +953,26 @@ TEST(TenantServerTest, ServerSessionMatchesStandaloneAndNeverBlocksFeed) {
   EXPECT_EQ(st.chunks_completed, 9u);
 }
 
+TEST(TenantServerTest, DefaultTenantSessionQuotaIs64) {
+  serve::ModelRegistry registry;
+  registry.put("p", pipeline_net());
+  serve::ServeOptions so;
+  so.engines = 1;
+  so.memory_words = 1u << 16;
+  serve::InferenceServer server(registry, SneConfig::paper_design_point(2),
+                                so);
+  // Opening plans only, so 64 sessions on one engine cost no simulation.
+  std::vector<std::shared_ptr<serve::StreamingSession>> sessions;
+  for (int i = 0; i < 64; ++i)
+    sessions.push_back(server.open_session("p", serve::SessionOptions{}));
+  EXPECT_THROW(server.open_session("p", serve::SessionOptions{}),
+               serve::TenantOverload);
+  server.close_session(sessions.back());
+  sessions.pop_back();
+  sessions.push_back(server.open_session("p", serve::SessionOptions{}));
+  for (const auto& s : sessions) server.close_session(s);
+}
+
 /// The process's thread count (Threads: in /proc/self/status).
 int process_threads() {
   std::ifstream status("/proc/self/status");
@@ -912,6 +1014,77 @@ TEST(TenantServerTest, SessionsRunOnDispatchWorkersWithoutThreads) {
   const serve::ServerStats st = server.stats();
   EXPECT_EQ(st.submitted, 16u);
   EXPECT_EQ(st.completed, 16u);
+}
+
+TEST(TenantServerTest, ThousandSessionsShareTwoEngines) {
+  // Sessions hold no engine between chunks: 1000 of them open at once on a
+  // two-engine server, every chunk bitwise equal to the standalone serial
+  // reference, with no thread per session and the ledger closed.
+  const QuantizedNetwork net = pipeline_net();
+  const auto model = std::make_shared<const QuantizedNetwork>(net);
+  const SneConfig hw = SneConfig::paper_design_point(2);
+  constexpr std::size_t kSessions = 1000;
+  constexpr std::size_t kStreams = 16;  // session i feeds stream i % kStreams
+  constexpr std::size_t kChunks = 3;
+  serve::SessionOptions sopts;
+  sopts.tenant = "crowd";
+  sopts.horizon_timesteps = 4 * kChunks;
+
+  std::vector<std::vector<event::EventStream>> streams;
+  std::vector<std::vector<NetworkRunStats>> ref;
+  for (std::size_t k = 0; k < kStreams; ++k) {
+    streams.push_back(split_chunks(
+        data::random_stream({1, 16, 16, 4 * kChunks}, 0.05, 1000 + k), 4));
+    ecnn::EnginePool pool(hw, 0, session_pool_opts());
+    serve::StreamingSession s(pool, model, sopts);
+    ref.emplace_back();
+    for (const auto& c : streams[k]) ref[k].push_back(s.feed(c).wait());
+  }
+
+  serve::ModelRegistry registry;
+  registry.put("p", net);
+  serve::ServeOptions so;
+  so.engines = 2;
+  so.memory_words = 1u << 16;
+  serve::InferenceServer server(registry, hw, so);
+  TenantConfig cfg;
+  cfg.max_sessions = kSessions;
+  cfg.max_queue = kSessions;  // one chunk per session waits in the lane
+  server.register_tenant("crowd", cfg);
+
+  const int threads_before = process_threads();
+  ASSERT_GT(threads_before, 0);
+  std::vector<std::shared_ptr<serve::StreamingSession>> sessions;
+  for (std::size_t i = 0; i < kSessions; ++i)
+    sessions.push_back(server.open_session("p", sopts));
+  // Interleaved: chunk c of every session is fed before chunk c + 1 of any.
+  std::vector<std::vector<serve::Ticket>> tickets(kSessions);
+  for (std::size_t c = 0; c < kChunks; ++c)
+    for (std::size_t i = 0; i < kSessions; ++i)
+      tickets[i].push_back(sessions[i]->feed(streams[i % kStreams][c]));
+  for (std::size_t i = 0; i < kSessions; ++i)
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      ASSERT_EQ(tickets[i][c].wait_for(std::chrono::seconds(120)),
+                serve::Ticket::WaitStatus::kReady);
+      const NetworkRunStats& got = tickets[i][c].wait();
+      const NetworkRunStats& want = ref[i % kStreams][c];
+      ASSERT_EQ(want.cycles, got.cycles) << "session " << i << " chunk " << c;
+      ASSERT_TRUE(want.total == got.total) << "session " << i << " chunk " << c;
+      ASSERT_TRUE(want.final_output == got.final_output)
+          << "session " << i << " chunk " << c;
+    }
+  // A thread an earlier test joined can linger in the count for a moment,
+  // so the count may fall here, but it must not grow with the sessions.
+  EXPECT_LE(process_threads(), threads_before);
+  for (const auto& s : sessions) server.close_session(s);
+
+  const serve::ServerStats st = server.stats();
+  EXPECT_EQ(st.submitted, kSessions * kChunks);
+  EXPECT_EQ(st.completed, kSessions * kChunks);
+  EXPECT_EQ(st.completed + st.failed, st.submitted);
+  EXPECT_EQ(st.engines_constructed, 2u);
+  const TenantStats& crowd = tenant_stats(st, "crowd");
+  EXPECT_EQ(crowd.completed + crowd.failed, crowd.submitted);
 }
 
 }  // namespace
