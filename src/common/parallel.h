@@ -16,9 +16,6 @@
 
 namespace sne {
 
-/// Number of execution lanes parallel_for uses (pool workers + the caller).
-inline unsigned parallel_workers() { return ThreadPool::global().size() + 1; }
-
 /// Invokes body(i) for every i in [begin, end), splitting the range into
 /// contiguous chunks over the thread pool. Falls back to serial execution
 /// for small ranges where scheduling cost dominates.

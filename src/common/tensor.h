@@ -25,15 +25,9 @@ class Tensor {
     SNE_EXPECTS(!shape_.empty() && shape_.size() <= 4);
   }
 
-  static Tensor zeros_like(const Tensor& other) { return Tensor(other.shape_); }
-
   const std::vector<std::size_t>& shape() const { return shape_; }
   std::size_t rank() const { return shape_.size(); }
   std::size_t size() const { return data_.size(); }
-  std::size_t dim(std::size_t i) const {
-    SNE_EXPECTS(i < shape_.size());
-    return shape_[i];
-  }
 
   T* data() { return data_.data(); }
   const T* data() const { return data_.data(); }

@@ -1,12 +1,17 @@
 // SNE hardware build configuration (paper section III-D).
 //
-// The paper's reference design point: a parametric number of slices (1/2/4/8
-// explored in section IV-A), 16 clusters per slice, 64 TDM neurons per
-// cluster (so 8 slices = 8192 neurons, Table II), 4-bit weights, 8-bit
-// state, a 256-set filter buffer, 16-word DMA FIFOs and a 400 MHz clock.
-// Ablation switches (clock gating, double buffering, adaptive sequencer)
-// default to the paper's design choices; the TLU ablation is a
-// FirePolicy, not a hardware switch.
+// Fixed silicon: the paper varies only the slice count (1/2/4/8, section
+// IV-A). Everything else about the datapath is one synthesized design and
+// lives here as compile-time constants: 16 clusters per slice, 64 TDM
+// neurons per cluster (so 8 slices = 8192 neurons, Table II), 8-wide cluster
+// tiles, a 256-set x 64-weight filter buffer of 4-bit weights, the 48-cycle
+// UPDATE sweep and the 400 MHz clock.
+//
+// Settable: the design point (slice count, the four FIFO depths, the number
+// of output DMAs), the microarchitectural ablation switches (clock gating,
+// double buffering, adaptive sequencer; they default to the paper's design
+// choices — the TLU ablation is a FirePolicy, not a hardware switch), and
+// two host-simulation switches that change wall-clock time only.
 #pragma once
 
 #include <cstdint>
@@ -24,15 +29,25 @@ inline constexpr std::uint64_t kNeverActive =
     std::numeric_limits<std::uint64_t>::max();
 
 struct SneConfig {
-  // --- structural parameters ------------------------------------------------
-  std::uint32_t num_slices = 8;          ///< parallel processing engines (SLs)
-  std::uint32_t clusters_per_slice = 16; ///< parallel datapaths per slice
-  std::uint32_t neurons_per_cluster = 64;///< TDM neurons per cluster datapath
-  std::uint32_t cluster_tile_width = 8;  ///< spatial tile width of one cluster
+  // --- fixed silicon ---------------------------------------------------------
+  static constexpr std::uint32_t clusters_per_slice = 16;  ///< datapaths
+  static constexpr std::uint32_t neurons_per_cluster = 64; ///< TDM neurons
+  static constexpr std::uint32_t cluster_tile_width = 8;   ///< tile width
+  /// Cycles to consume one UPDATE event (fixed sequencer).
+  static constexpr std::uint32_t update_sweep_cycles = 48;
+  static constexpr double clock_mhz = 400.0;  ///< GF22FDX SSG point
+  static constexpr std::uint32_t weight_sets = 256;    ///< filter-buffer sets
+  static constexpr std::uint32_t weights_per_set = 64; ///< 4-bit weights/set
 
-  // --- timing parameters ----------------------------------------------------
-  std::uint32_t update_sweep_cycles = 48;///< cycles to consume one UPDATE event
-  double clock_mhz = 400.0;              ///< target clock (GF22FDX SSG point)
+  static_assert(neurons_per_cluster % cluster_tile_width == 0,
+                "the cluster tile width must divide neurons_per_cluster");
+  static_assert(neurons_per_cluster <= 256,
+                "the sequencer's row mask is 256 bits wide");
+  static_assert(weight_sets <= 256, "the weight-set index is 8 bits wide");
+  static_assert(weights_per_set <= 64, "a weight set holds at most 8x8 taps");
+
+  // --- design point (section IV-A explores 1/2/4/8 slices) -------------------
+  std::uint32_t num_slices = 8;          ///< parallel processing engines (SLs)
 
   // --- buffering ------------------------------------------------------------
   std::uint32_t cluster_fifo_depth = 4;  ///< per-cluster output event FIFO
@@ -44,10 +59,6 @@ struct SneConfig {
   // on the output of each SL, the SNE can be configured with a higher
   // number of DMAs to sustain the SLs output bandwidth" (IV-A.3).
   std::uint32_t num_output_dmas = 1;
-
-  // --- filter buffer ----------------------------------------------------------
-  std::uint32_t weight_sets = 256;       ///< on-the-fly selectable weight sets
-  std::uint32_t weights_per_set = 64;    ///< 4-bit weights per set (<= 8x8)
 
   // --- microarchitectural switches (ablations) -------------------------------
   bool clock_gating = true;        ///< gate clusters outside the event's filter
@@ -71,14 +82,14 @@ struct SneConfig {
   bool drain_batching = true;
 
   // --- derived --------------------------------------------------------------
-  std::uint32_t neurons_per_slice() const {
+  static constexpr std::uint32_t neurons_per_slice() {
     return clusters_per_slice * neurons_per_cluster;
   }
   std::uint32_t total_neurons() const { return num_slices * neurons_per_slice(); }
-  std::uint32_t cluster_tile_height() const {
+  static constexpr std::uint32_t cluster_tile_height() {
     return neurons_per_cluster / cluster_tile_width;
   }
-  double cycle_ns() const { return 1e3 / clock_mhz; }
+  static constexpr double cycle_ns() { return 1e3 / clock_mhz; }
   /// Peak synaptic-operation rate: one update per cluster per cycle.
   double peak_sops_per_second() const {
     return static_cast<double>(num_slices) * clusters_per_slice * clock_mhz * 1e6;
@@ -87,20 +98,6 @@ struct SneConfig {
   void validate() const {
     if (num_slices == 0 || num_slices > 64)
       throw ConfigError("num_slices must be in [1, 64]");
-    if (clusters_per_slice == 0 || clusters_per_slice > 64)
-      throw ConfigError("clusters_per_slice must be in [1, 64]");
-    if (neurons_per_cluster == 0 || neurons_per_cluster > 256)
-      throw ConfigError("neurons_per_cluster must be in [1, 256]");
-    if (cluster_tile_width == 0 ||
-        neurons_per_cluster % cluster_tile_width != 0)
-      throw ConfigError("cluster tile width must divide neurons_per_cluster");
-    if (update_sweep_cycles == 0)
-      throw ConfigError("update_sweep_cycles must be positive");
-    if (weight_sets == 0 || weight_sets > 256)
-      throw ConfigError("weight_sets must be in [1, 256] (8-bit set index)");
-    if (weights_per_set == 0 || weights_per_set > 64)
-      throw ConfigError("weights_per_set must be in [1, 64]");
-    if (clock_mhz <= 0) throw ConfigError("clock_mhz must be positive");
     if (dma_fifo_depth == 0 || cluster_fifo_depth == 0 ||
         slice_in_fifo_depth == 0 || slice_out_fifo_depth == 0)
       throw ConfigError("FIFO depths must be positive");

@@ -147,11 +147,6 @@ class SneEngine {
     resident_tags_[i] = tag;
   }
 
-  std::uint64_t resident_pass_tag(std::uint32_t i) const {
-    SNE_EXPECTS(i < slices_.size());
-    return resident_tags_[i];
-  }
-
   /// Loads `program` into external memory and executes it to quiescence.
   RunResult run(const std::vector<event::Beat>& program,
                 const RunOptions& opts = RunOptions{});

@@ -19,7 +19,7 @@ Slice::Slice(std::uint32_t slice_id, const SneConfig& hw)
 }
 
 void Slice::configure(const SliceConfig& cfg) {
-  cfg.validate(hw_->clusters_per_slice, hw_->weight_sets, hw_->weights_per_set);
+  cfg.validate();
   if (cfg.out_width > event::kMaxX + 1 || cfg.out_height > event::kMaxY + 1)
     throw ConfigError("output map exceeds the event address space");
   cfg_ = cfg;

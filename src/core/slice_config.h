@@ -99,10 +99,9 @@ struct SliceConfig {
     return static_cast<std::uint32_t>(out_channels) * out_width * out_height;
   }
 
-  void validate(std::uint32_t clusters_per_slice, std::uint32_t weight_sets,
-                std::uint32_t weights_per_set) const {
+  void validate() const {
     lif.validate();
-    if (clusters.size() != clusters_per_slice)
+    if (clusters.size() != SneConfig::clusters_per_slice)
       throw ConfigError("SliceConfig must map every physical cluster");
     if (in_channels == 0 || in_width == 0 || in_height == 0)
       throw ConfigError("input geometry must be non-empty");
@@ -112,10 +111,12 @@ struct SliceConfig {
       if (kernel_w == 0 || kernel_h == 0)
         throw ConfigError("kernel must be non-empty");
       if (stride == 0) throw ConfigError("stride must be positive");
-      if (static_cast<std::uint32_t>(kernel_w) * kernel_h > weights_per_set)
+      if (static_cast<std::uint32_t>(kernel_w) * kernel_h >
+          SneConfig::weights_per_set)
         throw ConfigError("kernel does not fit one weight set");
       if (!depthwise &&
-          static_cast<std::uint32_t>(in_channels) * oc_per_slice > weight_sets)
+          static_cast<std::uint32_t>(in_channels) * oc_per_slice >
+              SneConfig::weight_sets)
         throw ConfigError(
             "in_channels * oc_per_slice exceeds the filter buffer; split the "
             "layer into more passes");
@@ -126,7 +127,8 @@ struct SliceConfig {
       if (fc_pass_positions == 0)
         throw ConfigError("FC pass must cover at least one input position");
       if (!fc_weights_streamed &&
-          fc_pass_positions * clusters_per_slice > weight_sets)
+          fc_pass_positions * SneConfig::clusters_per_slice >
+              SneConfig::weight_sets)
         throw ConfigError(
             "buffer-resident FC pass exceeds the filter buffer; use "
             "fc_weights_streamed");

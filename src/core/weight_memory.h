@@ -58,24 +58,6 @@ class WeightMemory {
 
   void clear() { std::fill(store_.begin(), store_.end(), 0); }
 
-  /// Serializes set `set` into WLOAD payload beats (header not included).
-  std::vector<event::Beat> encode_set(std::uint32_t set) const {
-    SNE_EXPECTS(set < sets_);
-    std::vector<event::Beat> beats;
-    const std::uint32_t groups = (weights_per_set_ + 7) / 8;
-    beats.reserve(groups);
-    for (std::uint32_t g = 0; g < groups; ++g) {
-      std::int8_t w[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-      for (int i = 0; i < 8; ++i) {
-        const std::uint32_t idx = g * 8 + static_cast<std::uint32_t>(i);
-        if (idx < weights_per_set_)
-          w[i] = store_[static_cast<std::size_t>(set) * weights_per_set_ + idx];
-      }
-      beats.push_back(event::pack_weights(w));
-    }
-    return beats;
-  }
-
  private:
   std::uint32_t sets_;
   std::uint32_t weights_per_set_;

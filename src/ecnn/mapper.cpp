@@ -155,9 +155,10 @@ LayerPlan Mapper::plan_fc(const QuantizedLayerSpec& layer,
   const std::uint32_t positions = static_cast<std::uint32_t>(layer.in_flat());
   const std::uint32_t outputs = layer.out_ch;
   const std::uint32_t per_slice = hw_.neurons_per_slice();
-  const bool resident =
-      positions * hw_.clusters_per_slice <= hw_.weight_sets &&
-      hw_.weights_per_set >= hw_.neurons_per_cluster;
+  // Buffer-resident FC banks hold one weight per TDM slot in each set.
+  static_assert(core::SneConfig::weights_per_set >=
+                core::SneConfig::neurons_per_cluster);
+  const bool resident = positions * hw_.clusters_per_slice <= hw_.weight_sets;
   const FcShape shape = fc_shape(outputs);
 
   LayerPlan plan;

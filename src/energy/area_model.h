@@ -53,13 +53,6 @@ struct AreaBreakdown {
     }
     throw ContractViolation("component index out of range");
   }
-  static const char* component_name(int i) {
-    constexpr const char* names[kComponents] = {
-        "Memory", "Clusters", "Streamers", "Interconnect",
-        "Registers", "Control", "Fifos", "Filters"};
-    SNE_EXPECTS(i >= 0 && i < kComponents);
-    return names[i];
-  }
 };
 
 class AreaModel {

@@ -177,11 +177,6 @@ class EnergyModel {
     return 1.0 / (dense_pj_per_sop() * 1e-12) * 1e-12;
   }
 
-  /// Energy efficiency over a run, TSOP/s/W.
-  double tsops_per_watt(const hwsim::ActivityCounters& c) const {
-    return 1.0 / (pj_per_sop(c) * 1e-12) * 1e-12;
-  }
-
  private:
   double dynamic_voltage_scale() const {
     const double v = voltage_ / tech_.nominal_voltage;

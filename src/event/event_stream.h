@@ -45,7 +45,6 @@ class EventStream {
   explicit EventStream(StreamGeometry geom) : geom_(geom) {}
 
   const StreamGeometry& geometry() const { return geom_; }
-  void set_geometry(StreamGeometry geom) { geom_ = geom; }
 
   const std::vector<Event>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
@@ -85,10 +84,6 @@ class EventStream {
     return static_cast<double>(update_count()) / static_cast<double>(vol);
   }
 
-  /// Spikes per timestep divided by sites, averaged only over timesteps that
-  /// exist (same value as activity(); kept for clarity at call sites).
-  double mean_activity_per_step() const { return activity(); }
-
   /// Stable-sorts events into time-major normal form. Within a timestep the
   /// order RST < UPDATE < FIRE < WLOAD is enforced so that a reset always
   /// precedes integration and firing concludes the step (paper section III-C).
@@ -111,14 +106,6 @@ class EventStream {
                             if (a.t != b.t) return a.t < b.t;
                             return op_rank(a.op) < op_rank(b.op);
                           });
-  }
-
-  /// Returns the UPDATE events of timestep t.
-  std::vector<Event> at_time(std::uint16_t t) const {
-    std::vector<Event> out;
-    for (const Event& e : events_)
-      if (e.t == t && e.op == Op::kUpdate) out.push_back(e);
-    return out;
   }
 
   /// Inserts one RST at t=0 and FIRE control events, producing the full

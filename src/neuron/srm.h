@@ -43,7 +43,6 @@ struct SrmParams {
 class SrmNeuron {
  public:
   double membrane() const { return u_; }
-  double synaptic_current() const { return i_; }
 
   void reset() {
     i_ = 0.0;

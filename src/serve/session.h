@@ -156,10 +156,6 @@ class StreamingSession
   bool closed();
   SessionStats stats();
   const std::string& tenant() const { return opts_.tenant; }
-  /// Output geometry of the pipeline's last stage (session-time stamped).
-  const event::StreamGeometry& output_geometry() const {
-    return plan_.out_geometry;
-  }
 
  private:
   friend class InferenceServer;

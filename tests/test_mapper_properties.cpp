@@ -48,8 +48,7 @@ TEST_P(MapperCoverage, EveryConvOutputCoveredExactlyOnce) {
   std::map<std::tuple<int, int, int>, int> covered;
   for (const Round& round : plan.rounds) {
     for (const SlicePass& pass : round.passes) {
-      EXPECT_NO_THROW(pass.cfg.validate(hw.clusters_per_slice, hw.weight_sets,
-                                        hw.weights_per_set));
+      EXPECT_NO_THROW(pass.cfg.validate());
       for (const core::ClusterMapping& m : pass.cfg.clusters) {
         if (!m.enabled) continue;
         for (std::uint32_t ly = 0; ly < tile_h; ++ly)

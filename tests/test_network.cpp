@@ -221,7 +221,7 @@ TEST(MapperTest, ConvPlanRespectsBufferLimit) {
       EXPECT_LE(static_cast<std::uint32_t>(p.cfg.in_channels) *
                     p.cfg.oc_per_slice,
                 256u);
-      EXPECT_NO_THROW(p.cfg.validate(16, 256, 64));
+      EXPECT_NO_THROW(p.cfg.validate());
     }
   EXPECT_EQ(plan.out_geometry.channels, 32);
 }

@@ -249,16 +249,16 @@ TEST(SliceConfigTest, ValidationRejectsBadGeometry) {
   SliceConfig cfg = simple_conv_cfg(hw);
   cfg.kernel_w = 9;  // 9x3 > 64 would be fine; 9 wide is ok; make it > set
   cfg.kernel_h = 9;  // 81 > 64 weights per set
-  EXPECT_THROW(cfg.validate(16, 256, 64), ConfigError);
+  EXPECT_THROW(cfg.validate(), ConfigError);
 
   SliceConfig cfg2 = simple_conv_cfg(hw);
   cfg2.clusters.pop_back();
-  EXPECT_THROW(cfg2.validate(16, 256, 64), ConfigError);
+  EXPECT_THROW(cfg2.validate(), ConfigError);
 
   SliceConfig cfg3 = simple_conv_cfg(hw);
   cfg3.in_channels = 200;
   cfg3.oc_per_slice = 2;  // 400 sets > 256
-  EXPECT_THROW(cfg3.validate(16, 256, 64), ConfigError);
+  EXPECT_THROW(cfg3.validate(), ConfigError);
 }
 
 TEST(XbarRoutesTest, Validation) {
