@@ -150,7 +150,7 @@ int main() {
   std::cout << "\nShape checks:\n";
   std::cout << "  - inference time vs input activity: r = "
             << AsciiTable::num(r, 4) << " (paper claim: proportional; PASS if > 0.99) "
-            << (r > 0.99 ? "PASS" : "FAIL") << "\n";
+            << bench::verdict(r > 0.99) << "\n";
   const double span = times_ms.back() / times_ms.front();
   std::cout << "  - worst/best time ratio: " << AsciiTable::num(span, 2)
             << "x over a " << AsciiTable::num(acts.back() / acts.front(), 2)
@@ -211,5 +211,5 @@ int main() {
                "144x144-class network has ~20x our event volume. Energy is "
                "proportional to events by construction of the architecture — "
                "that proportionality is what this bench verifies.\n";
-  return 0;
+  return bench::exit_status();
 }

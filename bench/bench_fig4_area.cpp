@@ -49,7 +49,7 @@ int main() {
   std::cout << "\nChecks against the paper's prose:\n";
   const bool dma_const = model.breakdown(1).streamers == model.breakdown(8).streamers;
   std::cout << "  - 'DMA area remain constant': "
-            << (dma_const ? "PASS" : "FAIL") << " (30.0 kGE at every point)\n";
+            << bench::verdict(dma_const) << " (30.0 kGE at every point)\n";
   bool mem_dominates = true;
   for (std::uint32_t n : {1u, 2u, 4u, 8u}) {
     const auto b = model.breakdown(n);
@@ -57,7 +57,7 @@ int main() {
       mem_dominates = mem_dominates && b.memory > b.component(c);
   }
   std::cout << "  - 'Most of the area is occupied by latch-based memories': "
-            << (mem_dominates ? "PASS" : "FAIL") << "\n";
+            << bench::verdict(mem_dominates) << "\n";
   const double fixed_share1 =
       model.breakdown(1).streamers / model.total_kge(1) * 100.0;
   const double fixed_share8 =
@@ -71,5 +71,5 @@ int main() {
   std::cout << "\nDerived Table II metric — neuron area: "
             << AsciiTable::num(na, 1) << " um2/neuron (paper: 19.9, "
             << bench::deviation(na, 19.9) << ")\n";
-  return 0;
+  return bench::exit_status();
 }

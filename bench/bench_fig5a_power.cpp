@@ -51,5 +51,7 @@ int main() {
             << bench::deviation(full, 11.29) << "); leakage share "
             << AsciiTable::num(m8.leakage_power_mw() / full * 100.0, 1)
             << "%.\n";
-  return 0;
+  std::cout << "  - 11.29 mW at 8 slices, within +/-1%: "
+            << bench::within(full, 11.29, 0.01) << "\n";
+  return bench::exit_status();
 }

@@ -43,5 +43,9 @@ int main() {
             << " GSOP/s (" << bench::deviation(m8.peak_gsops(), 51.2) << "), "
             << AsciiTable::num(m8.dense_pj_per_sop(), 3) << " pJ/SOP ("
             << bench::deviation(m8.dense_pj_per_sop(), 0.221) << ")\n";
-  return 0;
+  std::cout << "  - 51.2 GSOP/s at 8 slices, within +/-1%: "
+            << bench::within(m8.peak_gsops(), 51.2, 0.01) << "\n";
+  std::cout << "  - 0.221 pJ/SOP at 8 slices, within +/-1%: "
+            << bench::within(m8.dense_pj_per_sop(), 0.221, 0.01) << "\n";
+  return bench::exit_status();
 }

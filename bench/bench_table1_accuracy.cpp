@@ -225,15 +225,13 @@ int main() {
   const double chance_nm = 100.0 / 10.0, chance_gs = 100.0 / 11.0;
   std::cout << "  - NMNIST: both models well above chance ("
             << AsciiTable::num(chance_nm, 0) << "%): "
-            << (nm.srm_acc * 100 > 3 * chance_nm && nm.lif4b_acc * 100 > 3 * chance_nm
-                    ? "PASS"
-                    : "FAIL")
+            << bench::verdict(nm.srm_acc * 100 > 3 * chance_nm &&
+                              nm.lif4b_acc * 100 > 3 * chance_nm)
             << "\n";
   std::cout << "  - Gesture: both models well above chance ("
             << AsciiTable::num(chance_gs, 0) << "%): "
-            << (gs.srm_acc * 100 > 3 * chance_gs && gs.lif4b_acc * 100 > 3 * chance_gs
-                    ? "PASS"
-                    : "FAIL")
+            << bench::verdict(gs.srm_acc * 100 > 3 * chance_gs &&
+                              gs.lif4b_acc * 100 > 3 * chance_gs)
             << "\n";
   std::cout << "  - Quantized SNE-LIF-4b tracks the SRM baseline (paper: "
                "within ~0.5 points; ours within 10 points on the synthetic "
@@ -244,6 +242,6 @@ int main() {
                     : "CHECK")
             << "\n";
   std::cout << "  - Energy band scales with activity band (proportionality): "
-            << (gs.energy_hi_uj > gs.energy_lo_uj ? "PASS" : "FAIL") << "\n";
-  return 0;
+            << bench::verdict(gs.energy_hi_uj > gs.energy_lo_uj) << "\n";
+  return bench::exit_status();
 }

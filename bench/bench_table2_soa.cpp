@@ -62,10 +62,10 @@ int main() {
             << "x (paper: 3.55x, " << bench::deviation(vs_tianjic, 3.55)
             << ")\n";
   std::cout << "  - Lowest energy/SOP in the table: "
-            << (pj < 2.0 ? "PASS" : "FAIL") << " ("
+            << bench::verdict(pj < 2.0) << " ("
             << AsciiTable::num(pj, 3) << " pJ vs next-best 2 pJ Dynapsel)\n";
   std::cout << "  - Highest efficiency in the table: "
-            << (eff > 3.26 ? "PASS" : "FAIL") << " ("
+            << bench::verdict(eff > 3.26) << " ("
             << AsciiTable::num(eff, 2)
             << " TSOP/s/W vs next-best 3.26 SpiNNaker 2)\n";
 
@@ -83,5 +83,5 @@ int main() {
             << AsciiTable::num(physics.at_voltage(0.9).dense_pj_per_sop(), 3)
             << " pJ/SOP — the paper's footnote numbers correspond to linear "
                "scaling (see energy/tech.h)\n";
-  return 0;
+  return bench::exit_status();
 }

@@ -1,8 +1,11 @@
 // Shared helpers for the reproduction benches: each bench prints the paper's
 // published numbers next to what this repository measures, in a form that
-// can be pasted into EXPERIMENTS.md.
+// can be pasted into EXPERIMENTS.md. Shape checks print PASS or FAIL through
+// verdict(), and a bench whose check failed exits nonzero (exit_status()),
+// so ctest's `paper` label gates them.
 #pragma once
 
+#include <cmath>
 #include <iostream>
 #include <string>
 
@@ -27,5 +30,23 @@ inline std::string deviation(double measured, double paper) {
   std::snprintf(buf, sizeof buf, "%+.1f%%", d);
   return buf;
 }
+
+inline int failed_checks = 0;
+
+/// "PASS" or "FAIL" for a shape check; a FAIL is remembered for
+/// exit_status().
+inline const char* verdict(bool ok) {
+  if (!ok) ++failed_checks;
+  return ok ? "PASS" : "FAIL";
+}
+
+/// Verdict of an anchor comparison: `measured` within a relative `band` of
+/// the paper's value.
+inline const char* within(double measured, double paper, double band) {
+  return verdict(std::abs(measured - paper) <= band * std::abs(paper));
+}
+
+/// main()'s return value: nonzero when any check printed FAIL.
+inline int exit_status() { return failed_checks == 0 ? 0 : 1; }
 
 }  // namespace sne::bench

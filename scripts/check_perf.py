@@ -12,7 +12,13 @@ markdown before/after table — plus a dedicated section for the drain-path
 benchmarks (BM_DenseSpikingLayer*) — and appends it to
 $GITHUB_STEP_SUMMARY when set.
 
-Two gates:
+Simulated counters are a hard gate: for every benchmark present in both
+files, `sim_cycles_per_inf` and every `prof_*` counter must be identical.
+They count simulated cycles, not host time, so they read the same on any
+box; a difference means the simulation itself changed, and the baseline
+must then be regenerated (Release `bench_json` target) in the same change.
+
+Two wall-clock gates:
   --threshold: the coarse per-benchmark gate (default 2.0x); the only one
     --strict turns into a failing exit status.
   --regression-threshold: an *advisory* finer gate, always warn-only — flags
@@ -22,14 +28,16 @@ Two gates:
     box fail builds.
 
 Exit status:
-    0  everything within threshold (or warn-only mode, the default)
+    0  simulated counters identical, wall clock within threshold (or
+       warn-only mode, the default)
     1  --strict and at least one benchmark regressed past the threshold
     2  the current run is not an optimized build (sne_build_type != release)
        — a deterministic configuration error, never timing noise.
+    3  a simulated counter differs from the baseline.
 
-The threshold is deliberately generous and the default mode warn-only: the
-1-core CI box is too noisy for a hard wall-clock gate, but a silent 3x
-regression should at least be visible in the job summary.
+The wall-clock threshold is deliberately generous and its default mode
+warn-only: the 1-core CI box is too noisy for a hard wall-clock gate, but a
+silent 3x regression should at least be visible in the job summary.
 """
 
 import argparse
@@ -61,6 +69,31 @@ def bench_times(doc):
         out[b["name"]] = (float(b["real_time"]) * _UNIT_NS.get(unit, 1.0),
                           unit)
     return out
+
+
+def sim_counters(doc):
+    """name -> {counter: value} for sim_cycles_per_inf and every prof_*."""
+    out = {}
+    for b in doc.get("benchmarks", []):
+        if b.get("run_type") == "aggregate":
+            continue
+        out[b["name"]] = {k: v for k, v in b.items()
+                          if k == "sim_cycles_per_inf" or k.startswith("prof_")}
+    return out
+
+
+def compare_sim_counters(baseline, current):
+    """Compares the simulated counters of every benchmark present in both
+    runs: (values compared, [(name, counter, baseline, current)] that
+    differ)."""
+    base, cur = sim_counters(baseline), sim_counters(current)
+    compared, mismatches = 0, []
+    for name in sorted(set(base) & set(cur)):
+        for k in sorted(set(base[name]) & set(cur[name])):
+            compared += 1
+            if base[name][k] != cur[name][k]:
+                mismatches.append((name, k, base[name][k], cur[name][k]))
+    return compared, mismatches
 
 
 def main():
@@ -173,11 +206,10 @@ def main():
             r = "-" if ratio is None else f"{ratio:.2f}x"
             lines.append(f"| `{name}` | {fmt(b)} | {fmt(c)} | {r} |")
 
-    # Replay-profile mode split (current run only, warn-only): the drain
-    # benches attach prof_* counters from one profiled, untimed repeat —
-    # where the batched drain engine actually spends its simulated cycles.
-    # Informational: cycle attribution is bit-deterministic, so drift here
-    # means the workload or the engine changed, not the host.
+    # Replay-profile mode split (current run only): the drain benches attach
+    # prof_* counters from one profiled, untimed repeat — where the batched
+    # drain engine actually spends its simulated cycles. The table is
+    # informational; the hard gate on the same counters follows it.
     prof_keys = [("prof_dead_jump", "dead-jump"),
                  ("prof_sweep_jump", "sweep-jump"),
                  ("prof_percycle", "per-cycle"),
@@ -207,6 +239,26 @@ def main():
             cells = " | ".join(f"{frac * 100:.1f}%" for frac in split)
             lines.append(f"| `{name}` | {int(total)} | {cells} | {spans} |")
 
+    # Simulated-counter gate (hard): cycle counts are deterministic, so any
+    # difference is a change in the simulation, not host noise.
+    compared, mismatches = compare_sim_counters(baseline, current)
+    lines.append("")
+    lines.append("### Simulated counters (hard gate)")
+    lines.append("")
+    if mismatches:
+        lines.append("| benchmark | counter | baseline | current |")
+        lines.append("|---|---|---:|---:|")
+        for name, k, b, c in mismatches:
+            lines.append(f"| `{name}` | `{k}` | {b:.0f} | {c:.0f} |")
+        lines.append("")
+        lines.append(f"FAIL: {len(mismatches)} of {compared} simulated "
+                     "counter value(s) differ from the baseline. A change "
+                     "that moves simulated cycles regenerates the baseline "
+                     "(Release `bench_json` target) in the same commit.")
+    else:
+        lines.append(f"OK: all {compared} simulated counter value(s) match "
+                     "the baseline.")
+
     table = "\n".join(lines)
 
     print(table)
@@ -215,6 +267,8 @@ def main():
         with open(summary, "a") as f:
             f.write("## Perf regression guard\n\n" + table + "\n")
 
+    if mismatches:
+        return 3
     if warned and args.strict:
         return 1
     return 0

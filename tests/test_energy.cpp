@@ -60,6 +60,7 @@ TEST(AreaModelTest, InterpolationIsMonotone) {
 
 TEST(AreaModelTest, NeuronAreaMatchesTableII) {
   // Table II: 19.9 um2/neuron at the 8-slice design point (8192 neurons).
+  static_assert(core::SneConfig::neurons_per_slice() == 1024);
   AreaModel m;
   core::SneConfig hw = core::SneConfig::paper_design_point(8);
   EXPECT_EQ(hw.total_neurons(), 8192u);

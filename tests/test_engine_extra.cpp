@@ -184,6 +184,28 @@ TEST(EngineRobustness, MultiDmaOutputPreservesSpikeSet) {
   }
 }
 
+TEST(EngineErrors, ConfigValidationRejectsEachBadDesignPoint) {
+  EXPECT_NO_THROW(core::SneConfig::paper_design_point(1).validate());
+  EXPECT_NO_THROW(core::SneConfig::paper_design_point(64).validate());
+  const auto rejects = [](auto mutate) {
+    core::SneConfig hw = core::SneConfig::paper_design_point(8);
+    mutate(hw);
+    EXPECT_THROW(hw.validate(), ConfigError);
+  };
+  rejects([](core::SneConfig& c) { c.num_slices = 0; });
+  rejects([](core::SneConfig& c) { c.num_slices = 65; });
+  rejects([](core::SneConfig& c) { c.cluster_fifo_depth = 0; });
+  rejects([](core::SneConfig& c) { c.slice_in_fifo_depth = 0; });
+  rejects([](core::SneConfig& c) { c.slice_out_fifo_depth = 0; });
+  rejects([](core::SneConfig& c) { c.dma_fifo_depth = 0; });
+  rejects([](core::SneConfig& c) { c.num_output_dmas = 0; });
+  rejects([](core::SneConfig& c) { c.num_output_dmas = 17; });
+  // The engine validates its design point at construction.
+  core::SneConfig bad = core::SneConfig::paper_design_point(2);
+  bad.num_output_dmas = 0;
+  EXPECT_THROW(core::SneEngine{bad}, ConfigError);
+}
+
 TEST(EngineErrors, RunRejectsUnconfiguredRoute) {
   core::SneConfig hw = core::SneConfig::paper_design_point(2);
   core::SneEngine engine(hw);
