@@ -183,10 +183,7 @@ void BM_DenseSpikingLayer(benchmark::State& state) {
   std::vector<std::uint32_t> active;
   for (const ecnn::SlicePass& pass : plan.rounds[0].passes) {
     engine.configure_slice(pass.slice_id, pass.cfg);
-    auto& w = engine.slice(pass.slice_id).weights();
-    for (const auto& [set, codes] : pass.weight_image)
-      for (std::size_t i = 0; i < codes.size(); ++i)
-        w.write(set, static_cast<std::uint32_t>(i), codes[i]);
+    pass.write_weights(engine.slice(pass.slice_id).weights());
     active.push_back(pass.slice_id);
   }
   core::XbarRoutes routes;

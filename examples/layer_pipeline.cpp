@@ -71,14 +71,6 @@ sne::ecnn::QuantizedNetwork three_stage_net() {
   return net;
 }
 
-void load_pass_weights(sne::core::SneEngine& engine,
-                       const sne::ecnn::SlicePass& pass, std::uint32_t slice) {
-  for (const auto& [set, codes] : pass.weight_image)
-    for (std::size_t i = 0; i < codes.size(); ++i)
-      engine.slice(slice).weights().write(set, static_cast<std::uint32_t>(i),
-                                          codes[i]);
-}
-
 }  // namespace
 
 int main() {
@@ -99,8 +91,9 @@ int main() {
   for (std::size_t li = 0; li < net.layers.size(); ++li) {
     plans.push_back(mapper.plan(net.layers[li], 30));
     const ecnn::SlicePass& pass = plans.back().rounds.at(0).passes.at(0);
-    engine.configure_slice(static_cast<std::uint32_t>(li), pass.cfg);
-    load_pass_weights(engine, pass, static_cast<std::uint32_t>(li));
+    const auto slice = static_cast<std::uint32_t>(li);
+    engine.configure_slice(slice, pass.cfg);
+    pass.write_weights(engine.slice(slice).weights());
   }
   engine.set_routes(core::XbarRoutes::pipeline(3));
 

@@ -42,7 +42,7 @@ int main() {
   cfg.oc_per_slice = 1;
   cfg.lif.leak = 0;
   cfg.lif.v_th = 4;
-  cfg.clusters = core::make_tiled_mapping(hw, 32, 32, /*base_channel=*/0,
+  cfg.clusters = core::make_tiled_mapping(32, 32, /*base_channel=*/0,
                                           /*oc_per_slice=*/1);
   engine.configure_slice(0, cfg);
 

@@ -12,8 +12,10 @@
 //     on pooled engines.
 //
 //   $ ./train_and_deploy            (small defaults, ~1 minute)
+#include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "common/table.h"
@@ -27,6 +29,23 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "train/trainer.h"
+
+namespace {
+
+/// Upper edge of the latency bucket holding the nearest-rank q-quantile
+/// (+inf past the last edge): what a fixed-bucket histogram can say.
+double bucket_edge(const sne::serve::LatencyHistogram& h, double q) {
+  const auto rank = static_cast<std::uint64_t>(
+      std::ceil(q * static_cast<double>(h.count())));
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < h.kBoundsMs.size(); ++i) {
+    seen += h.counts[i];
+    if (seen >= rank) return h.kBoundsMs[i];
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
+}  // namespace
 
 int main() {
   using namespace sne;
@@ -151,9 +170,12 @@ int main() {
                                1)
             << "% (hardware spike counts), " << st.completed << "/"
             << st.submitted << " completed, "
-            << AsciiTable::num(st.throughput_rps, 1) << " req/s, p50 "
-            << AsciiTable::num(st.latency_ms_p50, 1) << " ms, p99 "
-            << AsciiTable::num(st.latency_ms_p99, 1) << " ms, "
+            << AsciiTable::num(st.throughput_rps, 1) << " req/s, mean "
+            << AsciiTable::num(st.latency_ms.sum_ms /
+                                   static_cast<double>(st.latency_ms.count()),
+                               1)
+            << " ms, p50 <= " << bucket_edge(st.latency_ms, 0.50)
+            << " ms, p99 <= " << bucket_edge(st.latency_ms, 0.99) << " ms, "
             << st.engines_constructed << " engines for " << st.engine_leases
             << " leases\n";
   std::remove(ckpt_path.c_str());

@@ -22,7 +22,8 @@ Validates whatever exports are passed (at least one required):
   --prom     Prometheus text exposition written by SNE_OBS_PROM. Line-level
              lint (every sample line parses, every family has a # TYPE
              preamble, histogram buckets are cumulative) plus required
-             series: the per-tenant breakdown (sne_tenant_*{tenant=...})
+             series: the per-tenant breakdown (sne_tenant_*{tenant=...},
+             the latency histogram sne_tenant_latency_ms_bucket among them)
              and the fault-site counters (sne_fault_site_hits_total{site=...})
              the serve benches publish.
 
@@ -127,6 +128,8 @@ SAMPLE_RE = re.compile(
 # the sne_gateway_* families the front door publishes per request.
 PROM_REQUIRED_BENCH = (
     r'^sne_tenant_[a-z_]+\{[^}]*tenant="',
+    # Latency is one histogram per tenant; the server's is their sum.
+    r'^sne_tenant_latency_ms_bucket\{[^}]*tenant="',
     r'^sne_fault_site_hits_total\{[^}]*site="',
     r'^sne_server_submitted_total',
     r'^sne_profile_mode_cycles_total\{[^}]*mode="',
@@ -136,6 +139,7 @@ PROM_REQUIRED_GATEWAY = (
     # The per-tenant overload ledger: why a lane's requests were refused.
     r'^sne_tenant_rejected_total\{[^}]*tenant="',
     r'^sne_tenant_evicted_total\{[^}]*tenant="',
+    r'^sne_tenant_latency_ms_bucket\{[^}]*tenant="',
     r'^sne_server_submitted_total',
     r'^sne_gateway_connections_accepted_total',
     r'^sne_gateway_connections_open',

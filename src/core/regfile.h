@@ -113,8 +113,8 @@ class RegisterFile {
     cfg.fc_pass_positions = rd(kSliceFcPositions);
     const std::uint32_t param = rd(kSliceMapParam);
     cfg.clusters = mode == MapMode::kFc
-                       ? make_fc_mapping(*hw_, param, cfg.fc_total_outputs())
-                       : make_tiled_mapping(*hw_, cfg.out_width, cfg.out_height,
+                       ? make_fc_mapping(param, cfg.fc_total_outputs())
+                       : make_tiled_mapping(cfg.out_width, cfg.out_height,
                                             static_cast<std::uint16_t>(param),
                                             cfg.oc_per_slice);
     return cfg;

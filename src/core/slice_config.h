@@ -145,18 +145,18 @@ struct SliceConfig {
 /// coordinates (the "address shift"), so a window anywhere in a larger map
 /// emits correctly-addressed events. Clusters left over are disabled.
 inline std::vector<ClusterMapping> make_tiled_mapping(
-    const SneConfig& hw, std::uint16_t win_w, std::uint16_t win_h,
-    std::uint16_t base_channel, std::uint8_t oc_per_slice,
-    std::uint16_t origin_x = 0, std::uint16_t origin_y = 0) {
+    std::uint16_t win_w, std::uint16_t win_h, std::uint16_t base_channel,
+    std::uint8_t oc_per_slice, std::uint16_t origin_x = 0,
+    std::uint16_t origin_y = 0) {
   SNE_EXPECTS(oc_per_slice >= 1);
-  const std::uint32_t tile_w = hw.cluster_tile_width;
-  const std::uint32_t tile_h = hw.cluster_tile_height();
+  const std::uint32_t tile_w = SneConfig::cluster_tile_width;
+  const std::uint32_t tile_h = SneConfig::cluster_tile_height();
   const std::uint32_t tiles_x = (win_w + tile_w - 1) / tile_w;
   const std::uint32_t tiles_y = (win_h + tile_h - 1) / tile_h;
   const std::uint32_t tiles = tiles_x * tiles_y;
-  if (tiles * oc_per_slice > hw.clusters_per_slice)
+  if (tiles * oc_per_slice > SneConfig::clusters_per_slice)
     throw ConfigError("output window does not fit the slice's clusters");
-  std::vector<ClusterMapping> maps(hw.clusters_per_slice);
+  std::vector<ClusterMapping> maps(SneConfig::clusters_per_slice);
   std::uint32_t idx = 0;
   for (std::uint8_t slot = 0; slot < oc_per_slice; ++slot) {
     for (std::uint32_t ty = 0; ty < tiles_y; ++ty) {
@@ -178,12 +178,11 @@ inline std::vector<ClusterMapping> make_tiled_mapping(
 /// Builds the FC cluster assignment: cluster i owns flat output neurons
 /// [base + i*64, base + (i+1)*64) of this pass; out_channel carries the base
 /// flat id (see Slice::output_event for the id -> (ch, x, y) shaping).
-inline std::vector<ClusterMapping> make_fc_mapping(const SneConfig& hw,
-                                                   std::uint32_t base_id,
-                                                   std::uint32_t total_outputs) {
-  std::vector<ClusterMapping> maps(hw.clusters_per_slice);
+inline std::vector<ClusterMapping> make_fc_mapping(
+    std::uint32_t base_id, std::uint32_t total_outputs) {
+  std::vector<ClusterMapping> maps(SneConfig::clusters_per_slice);
   for (std::uint32_t i = 0; i < maps.size(); ++i) {
-    const std::uint32_t first = base_id + i * hw.neurons_per_cluster;
+    const std::uint32_t first = base_id + i * SneConfig::neurons_per_cluster;
     maps[i].out_channel = static_cast<std::uint16_t>(first);
     maps[i].oc_slot = 0;
     maps[i].x_base = 0;

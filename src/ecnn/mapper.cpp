@@ -28,6 +28,12 @@ std::vector<event::Beat> SlicePass::wload_beats() const {
   return beats;
 }
 
+void SlicePass::write_weights(core::WeightMemory& w) const {
+  for (const auto& [set, codes] : weight_image)
+    for (std::size_t i = 0; i < codes.size(); ++i)
+      w.write(set, static_cast<std::uint32_t>(i), codes[i]);
+}
+
 LayerPlan Mapper::plan(const QuantizedLayerSpec& layer,
                        std::uint16_t timesteps) const {
   layer.lif.validate();
@@ -116,7 +122,7 @@ LayerPlan Mapper::plan_conv(const QuantizedLayerSpec& layer,
       const std::uint16_t this_win_h = static_cast<std::uint16_t>(
           std::min<std::uint32_t>(win_h, out_h - origin_y));
       cfg.clusters = core::make_tiled_mapping(
-          hw_, this_win_w, this_win_h,
+          this_win_w, this_win_h,
           static_cast<std::uint16_t>(unit.oc_base),
           static_cast<std::uint8_t>(unit.oc_count), origin_x, origin_y);
 
@@ -193,7 +199,7 @@ LayerPlan Mapper::plan_fc(const QuantizedLayerSpec& layer,
       cfg.fc_pass_base = 0;
       cfg.fc_pass_positions = positions;
       cfg.fc_weights_streamed = !resident;
-      cfg.clusters = core::make_fc_mapping(hw_, base, outputs);
+      cfg.clusters = core::make_fc_mapping(base, outputs);
 
       if (resident) {
         // set = position * n_clusters + cluster; weight index = TDM slot.

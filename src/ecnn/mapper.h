@@ -25,6 +25,7 @@
 
 #include "core/config.h"
 #include "core/slice_config.h"
+#include "core/weight_memory.h"
 #include "ecnn/quantized.h"
 #include "event/event.h"
 #include "event/event_stream.h"
@@ -42,6 +43,8 @@ struct SlicePass {
 
   /// Serializes the weight image into WLOAD header+payload beats.
   std::vector<event::Beat> wload_beats() const;
+  /// Host load of the weight image: writes every code straight into `w`.
+  void write_weights(core::WeightMemory& w) const;
 };
 
 /// Passes that run concurrently (same broadcast of the input stream).

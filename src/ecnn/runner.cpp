@@ -75,10 +75,7 @@ void program_pipeline(core::SneEngine& engine, const PipelinePlan& plan) {
     const SlicePass& pass = plan.stages[li];
     const auto slice = static_cast<std::uint32_t>(li);
     engine.configure_slice(slice, pass.cfg);
-    for (const auto& [set, codes] : pass.weight_image)
-      for (std::size_t i = 0; i < codes.size(); ++i)
-        engine.slice(slice).weights().write(
-            set, static_cast<std::uint32_t>(i), codes[i]);
+    pass.write_weights(engine.slice(slice).weights());
   }
   engine.set_routes(core::XbarRoutes::pipeline(
       static_cast<std::uint32_t>(plan.stages.size())));
@@ -250,10 +247,7 @@ void NetworkRunner::program_weights(const SlicePass& pass,
     // continuously-streaming second DMA (per-event beats are charged at
     // event time); for conv it is a fast path whose beat count is charged
     // here so energy matches the WLOAD-stream path.
-    for (const auto& [set, codes] : pass.weight_image)
-      for (std::size_t i = 0; i < codes.size(); ++i)
-        slice.weights().write(static_cast<std::uint32_t>(set),
-                              static_cast<std::uint32_t>(i), codes[i]);
+    pass.write_weights(slice.weights());
     if (!pass.host_load_only) {
       std::uint64_t beats = 0;
       for (const auto& [set, codes] : pass.weight_image)

@@ -50,7 +50,7 @@ inline CalibrationRun run_calibration_workload(std::uint32_t slices,
   cfg.fc_pass_positions = 16;
   cfg.fc_weights_streamed = false;
   for (std::uint32_t s = 0; s < slices; ++s) {
-    cfg.clusters = core::make_fc_mapping(hw, 0, 1024);
+    cfg.clusters = core::make_fc_mapping(0, 1024);
     engine.configure_slice(s, cfg);
     for (std::uint32_t set = 0; set < 256; ++set)
       for (std::uint32_t k = 0; k < 64; ++k) {

@@ -22,14 +22,12 @@ void set_gauge(MetricsRegistry& reg, const char* name, const Labels& labels,
   reg.gauge(name, labels, help).set(v);
 }
 
-void publish_latency(MetricsRegistry& reg, const char* family,
-                     const Labels& base, double mean, double p50, double p90,
-                     double p99) {
-  const char* help = "request latency (submit to completion), milliseconds";
-  set_gauge(reg, family, with(base, "stat", "mean"), help, mean);
-  set_gauge(reg, family, with(base, "stat", "p50"), help, p50);
-  set_gauge(reg, family, with(base, "stat", "p90"), help, p90);
-  set_gauge(reg, family, with(base, "stat", "p99"), help, p99);
+void set_latency(MetricsRegistry& reg, const char* name, const Labels& labels,
+                 const serve::LatencyHistogram& h) {
+  const auto& b = serve::LatencyHistogram::kBoundsMs;
+  reg.histogram(name, {b.begin(), b.end()}, labels,
+                "request latency (submit to answer), milliseconds")
+      .set(h.counts, h.sum_ms);
 }
 
 }  // namespace
@@ -64,8 +62,7 @@ void publish_server_stats(MetricsRegistry& reg, const serve::ServerStats& s,
             "seconds since server construction", s.elapsed_s);
   set_gauge(reg, "sne_server_throughput_rps", base,
             "completed requests per second of uptime", s.throughput_rps);
-  publish_latency(reg, "sne_server_latency_ms", base, s.latency_ms_mean,
-                  s.latency_ms_p50, s.latency_ms_p90, s.latency_ms_p99);
+  set_latency(reg, "sne_server_latency_ms", base, s.latency_ms);
   set_counter(reg, "sne_server_engines_constructed_total", base,
               "engines built by the pool", s.engines_constructed);
   set_counter(reg, "sne_server_engine_leases_total", base,
@@ -111,8 +108,7 @@ void publish_server_stats(MetricsRegistry& reg, const serve::ServerStats& s,
               t.inflight);
     set_gauge(reg, "sne_tenant_oldest_queued_ms", tl,
               "queue age of the head-of-line request", t.oldest_queued_ms);
-    publish_latency(reg, "sne_tenant_latency_ms", tl, t.latency_ms_mean,
-                    t.latency_ms_p50, t.latency_ms_p90, t.latency_ms_p99);
+    set_latency(reg, "sne_tenant_latency_ms", tl, t.latency_ms);
     set_counter(reg, "sne_tenant_sim_cycles_total", tl,
                 "simulated cycles over this tenant's completions",
                 t.total_sim_cycles);

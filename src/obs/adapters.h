@@ -6,9 +6,10 @@
 // (ServerStats + its per-tenant breakdown, EnginePool::Stats, FaultInjector
 // site stats, ActivityCounters, RunProfile) into registry series at scrape
 // time, so exporting costs nothing until someone actually scrapes. Each
-// publisher is idempotent: counters are republished absolute (the sources
-// are already monotonic snapshots), gauges overwritten, so calling again
-// with a fresher snapshot just updates the same series.
+// publisher is idempotent: counters and histograms are republished absolute
+// (Counter::set, Histogram::set: the sources are already cumulative
+// snapshots), gauges overwritten, so calling again with a fresher snapshot
+// just updates the same series.
 //
 // Family naming: sne_server_* / sne_tenant_*{tenant=...} / sne_pool_* /
 // sne_fault_site_*{site=...} / sne_activity_* / sne_profile_*. Pass `base`
@@ -25,9 +26,11 @@
 
 namespace sne::obs {
 
-/// ServerStats (headline + latency + engine-pool roll-up) as sne_server_*,
-/// plus one sne_tenant_* series set per tenant (the default tenant's empty
-/// name exports as tenant="default").
+/// ServerStats (headline + engine-pool roll-up) as sne_server_*, plus one
+/// sne_tenant_* series set per tenant (the default tenant's empty name
+/// exports as tenant="default"). Latency is the Prometheus histogram
+/// sne_{server,tenant}_latency_ms (_bucket{le=...}, _sum, _count; the mean
+/// is _sum/_count), and the server's series are the tenants' sums.
 void publish_server_stats(MetricsRegistry& reg, const serve::ServerStats& s,
                           const Labels& base = {});
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -82,7 +83,8 @@ std::string label_block(const Labels& labels) {
 }
 
 /// Exposition/JSON number: exact integers print without a fraction, the
-/// rest round-trip through %.17g; +Inf prints per format.
+/// rest as their shortest round-trip form (a bucket edge of 0.1 prints
+/// `le="0.1"`, identical in every process); +Inf prints per format.
 std::string fmt_number(double v, bool json) {
   if (std::isinf(v)) return json ? "1e999" : (v > 0 ? "+Inf" : "-Inf");
   if (std::isnan(v)) return json ? "null" : "NaN";
@@ -92,8 +94,7 @@ std::string fmt_number(double v, bool json) {
     return buf;
   }
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 std::string fmt_u64(std::uint64_t v) {
@@ -124,15 +125,25 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
     buckets_[i].store(0, std::memory_order_relaxed);
 }
 
+std::size_t bucket_index(std::span<const double> bounds, double v) {
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+}
+
 void Histogram::observe(double v) {
-  // First bucket with upper bound >= v; the +Inf bucket catches the rest.
-  std::size_t i = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket_index(bounds_, v)].fetch_add(1, std::memory_order_relaxed);
   // Relaxed CAS add: contended sums can lose ordering but never samples.
   double cur = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
   }
+}
+
+void Histogram::set(std::span<const std::uint64_t> counts, double sum) {
+  if (counts.size() != bounds_.size() + 1)
+    throw ConfigError("histogram set: bucket count does not match bounds");
+  for (std::size_t i = 0; i < counts.size(); ++i)
+    buckets_[i].store(counts[i], std::memory_order_relaxed);
+  sum_.store(sum, std::memory_order_relaxed);
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
@@ -272,8 +283,13 @@ std::string MetricsRegistry::json_snapshot() const {
       out += "{\"labels\":{";
       for (std::size_t i = 0; i < s->labels.size(); ++i) {
         if (i) out += ",";
-        out += "\"" + escape_json(s->labels[i].first) + "\":\"" +
-               escape_json(s->labels[i].second) + "\"";
+        // Piecewise appends: GCC 12 flags `"..." + std::string&&` with a
+        // false-positive -Wrestrict.
+        out += '"';
+        out += escape_json(s->labels[i].first);
+        out += "\":\"";
+        out += escape_json(s->labels[i].second);
+        out += '"';
       }
       out += "}";
       switch (fam.type) {

@@ -37,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,6 +75,12 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
+/// The Prometheus `le` rule: a sample lands in the first bucket whose
+/// inclusive upper bound is >= v; bounds.size() is the +Inf bucket. Every
+/// histogram in the stack (Histogram, serve::LatencyHistogram) buckets
+/// through this one function.
+std::size_t bucket_index(std::span<const double> bounds, double v);
+
 class Histogram {
  public:
   /// `bounds` are the inclusive upper edges of the finite buckets, strictly
@@ -81,9 +88,13 @@ class Histogram {
   /// observe path never reallocates.
   explicit Histogram(std::vector<double> bounds);
 
-  /// Boundary semantics match Prometheus: a sample lands in the first
-  /// bucket whose upper bound is >= the value (le = "less than or equal").
+  /// Buckets by bucket_index (le = "less than or equal").
   void observe(double v);
+  /// Absolute republish, the histogram twin of Counter::set, for adapters
+  /// mirroring a histogram kept elsewhere: overwrites every bucket with
+  /// `counts` (per bucket, +Inf last) and the sum. Throws ConfigError when
+  /// the bucket count differs.
+  void set(std::span<const std::uint64_t> counts, double sum);
 
   const std::vector<double>& bounds() const { return bounds_; }
   /// Per-bucket (non-cumulative) counts, +Inf bucket last.

@@ -16,9 +16,10 @@
 //     fails their tickets); another tenant's traffic is never touched.
 //     With nothing expired to displace, the push reports the queue full.
 //
-//   - SLO stats: per-tenant submitted/completed/failed/shed/expired ledger,
-//     queue depth + head-of-line age, and a bounded latency reservoir
-//     (p50/p90/p99) — the inputs an operator needs to set quotas.
+//   - SLO stats: per-tenant Ledger (submitted/completed/failed/shed/expired
+//     counts and a fixed-bucket latency histogram), queue depth and
+//     head-of-line age — the inputs an operator needs to set quotas. The
+//     tenant ledgers are the server's only ledger: ServerStats sums them.
 //
 // The scheduler reorders and sheds, but never touches payloads: what runs
 // is bitwise independent of scheduling policy, so every completed result
@@ -26,6 +27,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <condition_variable>
@@ -86,40 +88,82 @@ class DispatchRefused : public TenantOverload {
   using TenantOverload::TenantOverload;
 };
 
-/// Per-tenant SLO ledger snapshot (ServerStats::tenants).
-struct TenantStats {
-  std::string name;
-  unsigned weight = 1;
-  std::uint64_t submitted = 0;  ///< accepted into the queue
+/// Submit-to-answer wall time of the requests a ledger settled, in fixed
+/// millisecond buckets (obs::bucket_index's `le` rule). Bucket counts add
+/// across tenants, servers and processes, which sampled percentiles never
+/// do; the adapters export it as a Prometheus histogram.
+struct LatencyHistogram {
+  /// Inclusive upper bucket edges; a +Inf bucket follows the last.
+  static constexpr std::array<double, 16> kBoundsMs = {
+      0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500,
+      5000, 10000};
+  std::array<std::uint64_t, kBoundsMs.size() + 1> counts{};  ///< per bucket
+  double sum_ms = 0.0;
+
+  void observe(double ms);
+  std::uint64_t count() const;
+  LatencyHistogram& operator+=(const LatencyHistogram& o);
+};
+
+/// The serving ledger. Each tenant keeps one (TenantStats); the server's
+/// headline (ServerStats) is their sum, taken under one lock.
+/// completed + failed always reaches submitted once drained.
+struct Ledger {
+  std::uint64_t submitted = 0;  ///< accepted into a tenant queue
   std::uint64_t completed = 0;
-  /// Tickets answered with an exception after admission (dispatch failures,
-  /// queue expiries, displacement, eviction). completed + failed always
-  /// reaches submitted — the per-tenant drain invariant.
+  /// Tickets answered with an exception after admission: dispatch failures
+  /// that exhausted the retry budget, queue expiries (`expired`) and queued
+  /// requests displaced by overload shedding or tenant eviction
+  /// (`evicted`).
   std::uint64_t failed = 0;
   std::uint64_t rejected = 0;  ///< try_submit refusals (tenant queue full)
-  std::uint64_t shed = 0;      ///< dead-on-arrival deadlines (never admitted)
-  std::uint64_t expired = 0;   ///< admitted, deadline burned in queue
+  /// Failed fast at admission, never admitted (not in submitted/failed):
+  /// the deadline had already passed, or a blocking submit timed out on a
+  /// full queue.
+  std::uint64_t shed = 0;
+  std::uint64_t expired = 0;  ///< admitted, deadline burned in queue
+  /// Dispatch retry attempts after an exception (bounded per request by
+  /// ServeOptions::retry_budget); the throwing engines are quarantined.
   std::uint64_t retried = 0;
-  /// Queued entries displaced by same-tenant overload shedding or tenant
-  /// eviction (sub-count of failed).
-  std::uint64_t evicted = 0;
+  std::uint64_t evicted = 0;  ///< queued entries displaced (in failed)
+  std::uint64_t total_sim_cycles = 0;  ///< simulated cycles over completions
+  /// Weight residency over completions: slice passes that skipped
+  /// reprogramming vs all passes executed.
+  std::uint64_t passes_warm = 0;
+  std::uint64_t passes_total = 0;
+  /// Every request a dispatch worker settled (completed, failed, expired);
+  /// displaced entries are not observed, so count() == completed + failed
+  /// - evicted.
+  LatencyHistogram latency_ms;
+
+  Ledger& operator+=(const Ledger& o);
+};
+
+/// Per-tenant SLO snapshot (ServerStats::tenants).
+struct TenantStats : Ledger {
+  std::string name;
+  unsigned weight = 1;
   std::size_t queue_depth = 0;
   std::size_t peak_queue_depth = 0;
   unsigned inflight = 0;
   /// Queue age of the head-of-line entry at snapshot time (0 when empty) —
   /// the leading indicator of an SLO violation.
   double oldest_queued_ms = 0.0;
-  /// Latency over a bounded per-tenant reservoir (exact until full).
-  double latency_ms_mean = 0.0;
-  double latency_ms_p50 = 0.0;
-  double latency_ms_p90 = 0.0;
-  double latency_ms_p99 = 0.0;
-  std::uint64_t total_sim_cycles = 0;
   /// Streaming sessions.
   std::uint64_t sessions_opened = 0;
   std::uint64_t sessions_closed = 0;
   std::uint64_t chunks_completed = 0;
   std::uint64_t chunks_failed = 0;
+};
+
+/// Completion record for a popped item (FairScheduler::on_done).
+struct DoneRecord {
+  bool ok = true;
+  bool expired = false;  ///< failed on a burned deadline, never dispatched
+  std::uint64_t cycles = 0;
+  std::uint64_t passes_warm = 0;
+  std::uint64_t passes_total = 0;
+  double latency_ms = 0.0;
 };
 
 namespace detail {
@@ -128,22 +172,22 @@ namespace detail {
 /// All methods run under the owning scheduler's lock.
 class TenantCore {
  public:
-  explicit TenantCore(std::string name, TenantConfig cfg);
+  explicit TenantCore(TenantConfig cfg) : cfg_(cfg) {}
 
   const TenantConfig& cfg() const { return cfg_; }
 
   // Ledger (queue-side counts are maintained by the scheduler).
-  void note_submitted() { ++submitted_; }
-  void note_rejected() { ++rejected_; }
-  void note_shed() { ++shed_; }
-  void note_retried() { ++retried_; }
+  void note_submitted() { ++ledger_.submitted; }
+  void note_rejected() { ++ledger_.rejected; }
+  void note_shed() { ++ledger_.shed; }
+  void note_retried() { ++ledger_.retried; }
   /// A queued entry displaced (quota shed / eviction): failed + evicted.
   void note_evicted() {
-    ++failed_;
-    ++evicted_;
+    ++ledger_.failed;
+    ++ledger_.evicted;
   }
-  void note_completed(std::uint64_t cycles, double latency_ms);
-  void note_failed(bool expired, double latency_ms);
+  /// A popped entry settled: completed or failed, and its latency observed.
+  void note_done(const DoneRecord& r);
   void note_session_opened() {
     ++sessions_opened_;
     ++sessions_open_;
@@ -152,42 +196,29 @@ class TenantCore {
     ++sessions_closed_;
     if (sessions_open_ > 0) --sessions_open_;
   }
-  /// Session-chunk sub-count (cycles and latency land through
-  /// note_completed/note_failed like any request's).
+  /// Session-chunk sub-count (cycles and latency land through note_done
+  /// like any request's).
   void note_chunk(bool success) {
     ++(success ? chunks_completed_ : chunks_failed_);
   }
   std::uint64_t sessions_open() const { return sessions_open_; }
 
   /// Per-tenant drain invariant: everything admitted has been answered.
-  bool drained() const { return completed_ + failed_ == submitted_; }
+  bool drained() const {
+    return ledger_.completed + ledger_.failed == ledger_.submitted;
+  }
 
   /// Counter part of the stats snapshot (queue fields are the scheduler's).
   void snapshot(TenantStats& out) const;
 
  private:
-  std::string name_;
   TenantConfig cfg_;
-  // Ledger.
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t expired_ = 0;
-  std::uint64_t retried_ = 0;
-  std::uint64_t evicted_ = 0;
-  std::uint64_t total_sim_cycles_ = 0;
+  Ledger ledger_;
   std::uint64_t sessions_opened_ = 0;
   std::uint64_t sessions_closed_ = 0;
   std::uint64_t sessions_open_ = 0;
   std::uint64_t chunks_completed_ = 0;
   std::uint64_t chunks_failed_ = 0;
-  // Bounded latency reservoir (mirrors the server's global one).
-  static constexpr std::size_t kReservoir = 1024;
-  std::vector<double> latencies_ms_;
-  std::uint64_t latency_seen_ = 0;
-  std::uint64_t latency_rng_ = 0;  ///< splitmix64 state (one draw per update)
 };
 
 }  // namespace detail
@@ -310,6 +341,7 @@ class FairScheduler {
       out.status = PushStatus::kAccepted;
       lk.unlock();
       item_cv_.notify_one();
+      if (!out.displaced.empty()) drained_cv_.notify_all();
       return out;
     }
   }
@@ -344,22 +376,17 @@ class FairScheduler {
     return PopStatus::kItem;
   }
 
-  /// Completion record for a popped item (releases its inflight count).
-  struct DoneRecord {
-    bool ok = true;
-    bool expired = false;  ///< failed on a burned deadline, never dispatched
-    std::uint64_t cycles = 0;
-    double latency_ms = 0.0;
-  };
+  /// Settles a popped item on its tenant's ledger (releasing its inflight
+  /// count) and wakes wait_drained().
   void on_done(const std::string& tenant, const DoneRecord& r) {
-    std::lock_guard<std::mutex> lk(m_);
-    TenantState* t = find_locked(tenant);
-    if (t == nullptr) return;
-    if (t->inflight > 0) --t->inflight;
-    if (r.ok)
-      t->core.note_completed(r.cycles, r.latency_ms);
-    else
-      t->core.note_failed(r.expired, r.latency_ms);
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      TenantState* t = find_locked(tenant);
+      if (t == nullptr) return;
+      if (t->inflight > 0) --t->inflight;
+      t->core.note_done(r);
+    }
+    drained_cv_.notify_all();
   }
 
   // Ledger passthroughs (events the scheduler doesn't see itself).
@@ -417,6 +444,7 @@ class FairScheduler {
     t->gone = true;
     lk.unlock();
     space_cv_.notify_all();
+    drained_cv_.notify_all();
     return purged;
   }
 
@@ -431,10 +459,6 @@ class FairScheduler {
     space_cv_.notify_all();
   }
 
-  std::size_t depth() const {
-    std::lock_guard<std::mutex> lk(m_);
-    return depth_;
-  }
   std::size_t peak_depth() const {
     std::lock_guard<std::mutex> lk(m_);
     return peak_depth_;
@@ -443,9 +467,14 @@ class FairScheduler {
   /// Every tenant's drain invariant holds (nothing admitted is unanswered).
   bool drained() const {
     std::lock_guard<std::mutex> lk(m_);
-    for (const auto& [name, t] : tenants_)
-      if (!t->core.drained()) return false;
-    return true;
+    return drained_locked();
+  }
+
+  /// Blocks until drained() holds. Woken wherever completed/failed move:
+  /// on_done, eviction and displacement.
+  void wait_drained() {
+    std::unique_lock<std::mutex> lk(m_);
+    drained_cv_.wait(lk, [this] { return drained_locked(); });
   }
 
   /// Snapshot of every tenant's ledger (evicted tenants included), ordered
@@ -481,7 +510,7 @@ class FairScheduler {
 
   struct TenantState {
     TenantState(std::string n, TenantConfig cfg)
-        : name(std::move(n)), core(name, cfg) {}
+        : name(std::move(n)), core(cfg) {}
     std::string name;
     detail::TenantCore core;
     std::deque<Entry> q;
@@ -494,6 +523,12 @@ class FairScheduler {
 
   void add_tenant_locked(const std::string& name, const TenantConfig& cfg) {
     tenants_.emplace(name, std::make_unique<TenantState>(name, cfg));
+  }
+
+  bool drained_locked() const {
+    for (const auto& [name, t] : tenants_)
+      if (!t->core.drained()) return false;
+    return true;
   }
 
   TenantState* find_locked(const std::string& name) {
@@ -554,6 +589,7 @@ class FairScheduler {
   mutable std::mutex m_;
   std::condition_variable item_cv_;
   std::condition_variable space_cv_;
+  std::condition_variable drained_cv_;
   std::map<std::string, std::unique_ptr<TenantState>> tenants_;
   std::deque<TenantState*> ring_;  ///< DRR rotation over active tenants
   std::size_t depth_ = 0;          ///< queued entries across all tenants

@@ -7,21 +7,7 @@
 
 namespace sne::serve {
 
-namespace {
-
 using detail::ms_since;
-
-/// Nearest-rank percentile of an ascending-sorted sample.
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t n = sorted.size();
-  std::size_t rank = static_cast<std::size_t>(q * static_cast<double>(n) + 0.5);
-  if (rank == 0) rank = 1;
-  if (rank > n) rank = n;
-  return sorted[rank - 1];
-}
-
-}  // namespace
 
 InferenceServer::InferenceServer(const ModelRegistry& registry,
                                  core::SneConfig hw, ServeOptions opts)
@@ -180,40 +166,26 @@ InferenceServer::Request InferenceServer::make_request(
   req.submitted_at = std::chrono::steady_clock::now();
   req.deadline = ropts.deadline;
   req.tenant = ropts.tenant;
-  {
-    std::lock_guard<std::mutex> lk(stats_m_);
-    req.ticket->id = next_id_++;
-  }
+  req.ticket->id = next_id_++;
   return req;
 }
 
 bool InferenceServer::shed_if_expired(Request& req) {
   if (!req.deadline || std::chrono::steady_clock::now() < *req.deadline)
     return false;
-  {
-    std::lock_guard<std::mutex> lk(stats_m_);
-    ++shed_;
-  }
   sched_.note_shed(req.tenant);
   // Shed requests never count as submitted: drain() tracks admitted work,
   // and this request is answered (with its failure) before admission.
   req.ticket->fail(std::make_exception_ptr(DeadlineExceeded(
                        "shed at admission: request deadline already passed")),
-                   detail::ms_since(req.submitted_at));
+                   ms_since(req.submitted_at));
   return true;
 }
 
 void InferenceServer::fail_displaced(std::vector<Request> displaced,
                                      const char* why) {
-  if (displaced.empty()) return;
-  // Displaced requests were admitted (counted in submitted_): answering
-  // them failed keeps the drain invariant. The scheduler already booked the
-  // per-tenant failed+evicted side.
-  {
-    std::lock_guard<std::mutex> lk(stats_m_);
-    failed_ += displaced.size();
-    evicted_ += displaced.size();
-  }
+  // Displaced requests were admitted: the scheduler booked them failed +
+  // evicted, and answering them here keeps every ticket's promise.
   for (Request& d : displaced) {
     if (d.session) d.session->chunk_done(/*success=*/false);
     d.ticket->fail(
@@ -221,7 +193,6 @@ void InferenceServer::fail_displaced(std::vector<Request> displaced,
             std::string(why) + " (tenant '" + d.tenant + "')")),
         ms_since(d.submitted_at));
   }
-  drained_cv_.notify_all();
 }
 
 InferenceServer::Admission InferenceServer::admit(Request req, bool block) {
@@ -232,13 +203,6 @@ InferenceServer::Admission InferenceServer::admit(Request req, bool block) {
   // the caller.
   faults::check("serve.server.admit");
   if (shed_if_expired(req)) return Admission::kAnswered;
-  // Count *before* the push: once a request is in a queue it must be
-  // covered by submitted_, or drain() could observe completed == submitted
-  // while a pushed-but-uncounted request is still in flight.
-  {
-    std::lock_guard<std::mutex> lk(stats_m_);
-    ++submitted_;
-  }
   const std::string tenant = req.tenant;
   const auto deadline = req.deadline;
   const auto submitted_at = req.submitted_at;
@@ -248,18 +212,11 @@ InferenceServer::Admission InferenceServer::admit(Request req, bool block) {
                  "shed under overload: displaced by a newer request");
   if (out.status == FairScheduler<Request>::PushStatus::kAccepted)
     return Admission::kQueued;
-  {
-    std::lock_guard<std::mutex> lk(stats_m_);
-    --submitted_;
-    // Blocking: the wait for queue space timed out on the request's own
-    // deadline — a shed. Non-blocking: genuine overload (the scheduler
-    // booked the tenant-side rejection).
-    if (out.status == FairScheduler<Request>::PushStatus::kFull)
-      ++(block ? shed_ : rejected_);
-  }
-  drained_cv_.notify_all();
   switch (out.status) {
     case FairScheduler<Request>::PushStatus::kFull:
+      // Non-blocking: genuine overload (the scheduler booked the
+      // rejection). Blocking: the wait for queue space timed out on the
+      // request's own deadline — a shed.
       if (!block) return Admission::kRefused;
       sched_.note_shed(tenant);
       ticket->fail(std::make_exception_ptr(DeadlineExceeded(
@@ -379,10 +336,6 @@ void InferenceServer::process(Request& req, const std::string& tenant) {
         // Retry on a freshly acquired engine. Fresh/reset engines are
         // bitwise identical, so the retried result equals the fault-free
         // run exactly — the failure is invisible to the caller.
-        {
-          std::lock_guard<std::mutex> lk(stats_m_);
-          ++retried_;
-        }
         sched_.note_retried(tenant);
         continue;
       }
@@ -393,82 +346,39 @@ void InferenceServer::process(Request& req, const std::string& tenant) {
   // settles: a client that closes on the answer finds it closable at once.
   if (req.session) req.session->chunk_done(!error);
   const double lat_ms = ms_since(req.submitted_at);
-  {
-    std::lock_guard<std::mutex> lk(stats_m_);
-    if (error) {
-      ++failed_;
-      if (deadline_expired) ++expired_;
-    } else {
-      ++completed_;
-      total_sim_cycles_ += result.cycles;
-      passes_warm_ += result.passes_warm;
-      passes_total_ += result.passes_total;
-    }
-    // Bounded reservoir: exact until kLatencyReservoir completions, a
-    // uniform sample of the full history after.
-    ++latency_seen_;
-    if (latencies_ms_.size() < kLatencyReservoir) {
-      latencies_ms_.push_back(lat_ms);
-    } else {
-      const auto j = static_cast<std::uint64_t>(latency_rng_.uniform_int(
-          0, static_cast<std::int64_t>(latency_seen_) - 1));
-      if (j < kLatencyReservoir) latencies_ms_[j] = lat_ms;
-    }
-  }
   // Settle the tenant's ledger before answering the ticket, so a waiter
   // observes its own completion in stats().
   obs::ScopedSpan settle_span("serve.settle", obs::trace_key(tenant));
-  sched_.on_done(tenant, {/*ok=*/!error, /*expired=*/deadline_expired,
-                          /*cycles=*/error ? 0 : result.cycles,
-                          /*latency_ms=*/lat_ms});
+  DoneRecord done{.ok = !error, .expired = deadline_expired,
+                  .latency_ms = lat_ms};
+  if (!error) {
+    done.cycles = result.cycles;
+    done.passes_warm = result.passes_warm;
+    done.passes_total = result.passes_total;
+  }
+  sched_.on_done(tenant, done);
   if (error)
     req.ticket->fail(error, lat_ms);
   else
     req.ticket->fulfill(std::move(result), lat_ms);
-  drained_cv_.notify_all();
 }
 
-void InferenceServer::drain() {
-  std::unique_lock<std::mutex> lk(stats_m_);
-  drained_cv_.wait(
-      lk, [this] { return completed_ + failed_ == submitted_; });
-}
+void InferenceServer::drain() { sched_.wait_drained(); }
 
 ServerStats InferenceServer::stats() const {
   ServerStats s;
-  std::vector<double> lat;
-  {
-    std::lock_guard<std::mutex> lk(stats_m_);
-    s.submitted = submitted_;
-    s.completed = completed_;
-    s.failed = failed_;
-    s.rejected = rejected_;
-    s.shed = shed_;
-    s.expired = expired_;
-    s.retried = retried_;
-    s.evicted = evicted_;
-    s.total_sim_cycles = total_sim_cycles_;
-    s.passes_warm = passes_warm_;
-    s.passes_total = passes_total_;
-    lat = latencies_ms_;
-  }
-  s.queue_depth = sched_.depth();
-  s.peak_queue_depth = sched_.peak_depth();
   s.tenants = sched_.stats();
+  for (const TenantStats& t : s.tenants) {
+    s += t;
+    s.queue_depth += t.queue_depth;
+  }
+  // Read after the tenant snapshot, so peak >= depth.
+  s.peak_queue_depth = sched_.peak_depth();
   s.elapsed_s = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - started_at_)
                     .count();
   if (s.elapsed_s > 0.0)
     s.throughput_rps = static_cast<double>(s.completed) / s.elapsed_s;
-  if (!lat.empty()) {
-    std::sort(lat.begin(), lat.end());
-    double sum = 0.0;
-    for (const double v : lat) sum += v;
-    s.latency_ms_mean = sum / static_cast<double>(lat.size());
-    s.latency_ms_p50 = percentile(lat, 0.50);
-    s.latency_ms_p90 = percentile(lat, 0.90);
-    s.latency_ms_p99 = percentile(lat, 0.99);
-  }
   const ecnn::EnginePool::Stats ps = pool_.stats();
   s.engines_constructed = ps.constructed;
   s.engine_leases = ps.leases;

@@ -15,10 +15,11 @@
 // saturate only its own quota — never another tenant's latency. Overload
 // degrades gracefully per tenant: a full queue sheds the tenant's own
 // expired entries first and otherwise refuses, and per-tenant SLO stats
-// (p50/p90/p99, queue age, shed/expired/rejected/evicted counts) land in
-// ServerStats::tenants. Requests that don't name a tenant land on the
-// default tenant (a TenantConfig{} quota), which preserves the single-FIFO
-// semantics and bits of the pre-tenant server.
+// (a latency histogram, queue age, shed/expired/rejected/evicted counts)
+// land in ServerStats::tenants. The tenant ledgers are the only ledger:
+// the ServerStats headline is their sum. Requests that don't name a tenant
+// land on the default tenant (a TenantConfig{} quota), which preserves the
+// single-FIFO semantics and bits of the pre-tenant server.
 //
 // Determinism: scheduling policy may reorder and shed, but a request's
 // NetworkRunStats depends only on (model, input) — never on the tenant mix,
@@ -36,9 +37,10 @@
 // event-stream inference with carried neuron state, heartbeat timeouts,
 // crash recovery via neuron-state snapshots — see serve/session.h). Its
 // chunks are requests in the session tenant's lane, run by the same
-// dispatch workers on an engine leased per chunk and counted in the same
-// ledgers. A session holds no engine between chunks, so the open-session
-// count is bounded by each tenant's max_sessions quota, not by `engines`.
+// dispatch workers on an engine leased per chunk and counted in the
+// tenant's ledger. A session holds no engine between chunks, so the
+// open-session count is bounded by each tenant's max_sessions quota, not by
+// `engines`.
 // Sessions close on tenant eviction. A worker also sweeps the open
 // sessions' heartbeat clocks at most every 100 ms.
 //
@@ -62,7 +64,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/config.h"
 #include "ecnn/runner.h"
 #include "event/event_stream.h"
@@ -120,50 +121,18 @@ struct RequestOptions {
   }
 };
 
-struct ServerStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  /// Tickets that completed with an exception — dispatch failures that
-  /// exhausted the retry budget, deadline expiries (the `expired` sub-count
-  /// below), and queued requests displaced by overload shedding or tenant
-  /// eviction (the `evicted` sub-count). completed + failed always reaches
-  /// submitted.
-  std::uint64_t failed = 0;
-  std::uint64_t rejected = 0;  ///< try_submit refusals (tenant queue full)
-  /// Deadline accounting (requests failed fast, never simulated):
-  /// shed at admission (deadline already passed at submit, or a blocking
-  /// submit timed out on a full queue; not counted in submitted/failed) vs
-  /// expired pre-dispatch (queue age burned the budget; counted in failed
-  /// too).
-  std::uint64_t shed = 0;
-  std::uint64_t expired = 0;
-  /// Dispatch retry attempts after an exception (bounded per request by
-  /// ServeOptions::retry_budget); the throwing engines are quarantined.
-  std::uint64_t retried = 0;
-  /// Queued requests displaced after admission (same-tenant overload
-  /// shedding, tenant eviction); sub-count of failed.
-  std::uint64_t evicted = 0;
+/// Server snapshot. The Ledger half is the sum of `tenants`' ledgers, taken
+/// under the scheduler's one lock, so the two agree in every snapshot.
+struct ServerStats : Ledger {
   std::size_t queue_depth = 0;       ///< across all tenant queues
   std::size_t peak_queue_depth = 0;
   double elapsed_s = 0.0;         ///< since server construction
   double throughput_rps = 0.0;    ///< completed / elapsed
-  /// Latency (submit -> completion wall time) statistics, computed over a
-  /// bounded reservoir sample of completions (exact until the reservoir
-  /// fills, uniformly sampled after), so a long-running server holds O(1)
-  /// latency state no matter how many requests it has served.
-  double latency_ms_mean = 0.0;
-  double latency_ms_p50 = 0.0;
-  double latency_ms_p90 = 0.0;
-  double latency_ms_p99 = 0.0;
-  std::uint64_t total_sim_cycles = 0;  ///< simulated cycles over completions
   std::uint64_t engines_constructed = 0;
   std::uint64_t engine_leases = 0;  ///< leases - constructed = reuses
-  /// Weight-residency effectiveness (warm_weights mode): leases that landed
-  /// on an engine already tagged with the request's model, and slice passes
-  /// that skipped reprogramming vs all passes executed.
+  /// Leases that landed on an engine already tagged with the request's
+  /// model (warm_weights mode).
   std::uint64_t engine_warm_leases = 0;
-  std::uint64_t passes_warm = 0;
-  std::uint64_t passes_total = 0;
   /// Quarantine effectiveness: leases that observed an exception and were
   /// discarded instead of released (EnginePool::Stats pass-through). A
   /// poisoned engine is never re-leased.
@@ -239,9 +208,11 @@ class InferenceServer {
   /// distinction (has-the-name-existed is not derivable from has_tenant).
   TenantPresence tenant_presence(const std::string& name) const;
 
-  /// Blocks until every admitted request has completed.
+  /// Blocks until every admitted request has settled on its tenant's
+  /// ledger: completed + failed reaches submitted for every tenant.
   void drain();
 
+  /// One consistent snapshot: the tenant ledgers and their sum.
   ServerStats stats() const;
 
   const core::SneConfig& hw() const { return hw_; }
@@ -273,19 +244,18 @@ class InferenceServer {
     kRefused,   ///< non-blocking push, quota full: ticket untouched
   };
   /// The one admission body (submit, try_submit, session chunks): the
-  /// admission chaos site, the dead-on-arrival shed, the ledger count, the
-  /// tenant-lane push (blocking while full only for `block`) and its
-  /// rollback. kRefused counts `rejected`. Throws ConfigError on a
-  /// shut-down server or an evicted tenant.
+  /// admission chaos site, the dead-on-arrival shed and the tenant-lane
+  /// push (blocking while full only for `block`). kRefused counts
+  /// `rejected`. Throws ConfigError on a shut-down server or an evicted
+  /// tenant.
   Admission admit(Request req, bool block);
   /// Sheds `req` at admission when its deadline has already passed: fails
-  /// the ticket with DeadlineExceeded and counts `shed` (globally and on
-  /// the tenant). Returns whether it shed (the caller then skips the queue
-  /// entirely).
+  /// the ticket with DeadlineExceeded and counts `shed` on the tenant.
+  /// Returns whether it shed (the caller then skips the queue entirely).
   bool shed_if_expired(Request& req);
   /// Fails the tickets of requests displaced from a tenant queue
-  /// (overload shedding / eviction) and counts them failed+evicted
-  /// globally (the scheduler already counted the tenant side).
+  /// (overload shedding / eviction); the scheduler already counted them
+  /// failed + evicted.
   void fail_displaced(std::vector<Request> displaced, const char* why);
   void worker_loop();
   void process(Request& req, const std::string& tenant);
@@ -308,27 +278,7 @@ class InferenceServer {
   std::mutex sessions_m_;
   std::vector<std::shared_ptr<StreamingSession>> sessions_;
   std::atomic<std::chrono::steady_clock::rep> last_sweep_{0};
-
-  mutable std::mutex stats_m_;
-  std::condition_variable drained_cv_;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t shed_ = 0;
-  std::uint64_t expired_ = 0;
-  std::uint64_t retried_ = 0;
-  std::uint64_t evicted_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t total_sim_cycles_ = 0;
-  std::uint64_t passes_warm_ = 0;
-  std::uint64_t passes_total_ = 0;
-  /// Bounded latency reservoir (classic reservoir sampling over all
-  /// completions; kLatencyReservoir entries max).
-  static constexpr std::size_t kLatencyReservoir = 4096;
-  std::vector<double> latencies_ms_;
-  std::uint64_t latency_seen_ = 0;
-  Rng latency_rng_{0x5EEDF00Dull};
+  std::atomic<std::uint64_t> next_id_{1};  ///< ticket (correlation) ids
 };
 
 }  // namespace sne::serve

@@ -183,7 +183,7 @@ TEST(EnergyModelTest, EnergyProportionalToEvents) {
     cfg.pad = 1;
     cfg.oc_per_slice = 1;
     cfg.lif.v_th = 10;
-    cfg.clusters = core::make_tiled_mapping(hw, 32, 32, 0, 1);
+    cfg.clusters = core::make_tiled_mapping(32, 32, 0, 1);
     engine.configure_slice(0, cfg);
     engine.configure_slice(1, cfg);
     engine.set_routes(core::XbarRoutes::time_multiplexed(2));

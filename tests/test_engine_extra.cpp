@@ -232,7 +232,7 @@ TEST(EngineErrors, ProgramMustFitMemory) {
   cfg.pad = 1;
   cfg.oc_per_slice = 1;
   cfg.lif.v_th = 10;
-  cfg.clusters = core::make_tiled_mapping(hw, 8, 8, 0, 1);
+  cfg.clusters = core::make_tiled_mapping(8, 8, 0, 1);
   engine.configure_slice(0, cfg);
   std::vector<event::Beat> huge(3000, event::pack(event::Event::fire(0)));
   EXPECT_THROW(engine.run(huge), ConfigError);

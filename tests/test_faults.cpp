@@ -39,6 +39,7 @@
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "ledger_util.h"
 
 namespace sne {
 namespace {
@@ -429,6 +430,7 @@ TEST(RetryTest, ExhaustedBudgetFailsTicketAndServerSurvives) {
     EXPECT_EQ(ts.failed, 1u);
     EXPECT_EQ(ts.retried, 2u);
     EXPECT_EQ(ts.completed + ts.failed, ts.submitted);
+    testutil::expect_headline_is_tenant_sum(st);
   }
   // Chaos over: the same server serves the same request fine.
   EXPECT_GT(server.submit("m", in, ro).wait().cycles, 0u);
@@ -467,6 +469,8 @@ TEST(DeadlineTest, ExpiredAtAdmissionIsShedNotSimulated) {
   EXPECT_EQ(st.submitted, 0u);  // shed requests are pre-admission
   EXPECT_EQ(st.rejected, 0u);
   EXPECT_EQ(st.total_sim_cycles, 0u);  // never simulated
+  EXPECT_EQ(st.latency_ms.count(), 0u);  // never settled by a worker
+  testutil::expect_headline_is_tenant_sum(st);
   // A request with a generous deadline still completes normally.
   EXPECT_GT(server
                 .submit("m", in,
@@ -506,6 +510,9 @@ TEST(DeadlineTest, ExpiredInQueueFailsFastWithConsistentAccounting) {
   EXPECT_EQ(st.shed, 0u);
   // Only the completed request simulated anything.
   EXPECT_EQ(st.total_sim_cycles, slow_result.cycles);
+  // The expired request is a settled one: its latency is observed too.
+  EXPECT_EQ(st.latency_ms.count(), 2u);
+  testutil::expect_headline_is_tenant_sum(st);
 }
 
 // --- admission chaos under fair-share load -----------------------------------
@@ -578,12 +585,9 @@ TEST(AdmissionChaosTest, AdmitFaultsLeaveNoResidueUnderMultiTenantLoad) {
   EXPECT_EQ(st.submitted, inputs.size() - crashed);
   EXPECT_EQ(st.completed, inputs.size() - crashed);
   EXPECT_EQ(st.failed, 0u);
-  std::uint64_t tenant_submitted = 0;
-  for (const serve::TenantStats& t : st.tenants) {
+  for (const serve::TenantStats& t : st.tenants)
     EXPECT_EQ(t.completed + t.failed, t.submitted) << t.name;
-    tenant_submitted += t.submitted;
-  }
-  EXPECT_EQ(tenant_submitted, st.submitted);
+  testutil::expect_headline_is_tenant_sum(st);
 }
 
 // --- streaming-session chaos -------------------------------------------------

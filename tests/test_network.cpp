@@ -181,14 +181,8 @@ TEST(PipelineMode, TwoStageChainMatchesGolden) {
   ASSERT_EQ(pool_plan.rounds.size(), 1u);
   engine.configure_slice(0, conv_plan.rounds[0].passes[0].cfg);
   engine.configure_slice(1, pool_plan.rounds[0].passes[0].cfg);
-  for (const auto& [set, codes] : conv_plan.rounds[0].passes[0].weight_image)
-    for (std::size_t i = 0; i < codes.size(); ++i)
-      engine.slice(0).weights().write(set, static_cast<std::uint32_t>(i),
-                                      codes[i]);
-  for (const auto& [set, codes] : pool_plan.rounds[0].passes[0].weight_image)
-    for (std::size_t i = 0; i < codes.size(); ++i)
-      engine.slice(1).weights().write(set, static_cast<std::uint32_t>(i),
-                                      codes[i]);
+  conv_plan.rounds[0].passes[0].write_weights(engine.slice(0).weights());
+  pool_plan.rounds[0].passes[0].write_weights(engine.slice(1).weights());
   engine.set_routes(core::XbarRoutes::pipeline(2));
 
   core::RunOptions opts;

@@ -84,6 +84,47 @@ TEST(MetricsRegistry, HistogramBoundarySemantics) {
   EXPECT_DOUBLE_EQ(h.sum(), -3.0 + 1.0 + 1.5 + 5.0 + 5.1);
 }
 
+TEST(MetricsRegistry, HistogramSetRepublishesAbsolute) {
+  obs::MetricsRegistry reg;
+  auto& h = reg.histogram("sne_test_hist", {1.0, 2.0, 5.0});
+  h.observe(1.5);
+  const std::vector<std::uint64_t> first = {1, 2, 0, 4};
+  h.set(first, 9.5);  // overwrites what observe() put there
+  EXPECT_EQ(h.bucket_counts(), first);
+  EXPECT_EQ(h.count(), 7u);
+  EXPECT_DOUBLE_EQ(h.sum(), 9.5);
+  // A fresher snapshot replaces the series, like Counter::set: never adds.
+  const std::vector<std::uint64_t> second = {2, 2, 1, 4};
+  h.set(second, 12.0);
+  EXPECT_EQ(h.bucket_counts(), second);
+  EXPECT_DOUBLE_EQ(h.sum(), 12.0);
+  const std::string text = reg.prometheus_text();
+  EXPECT_NE(text.find("sne_test_hist_bucket{le=\"2\"} 4\n"), std::string::npos);
+  EXPECT_NE(text.find("sne_test_hist_bucket{le=\"+Inf\"} 9\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("sne_test_hist_sum 12\n"), std::string::npos);
+  EXPECT_THROW(h.set(std::vector<std::uint64_t>{1, 2, 3}, 0.0), ConfigError);
+}
+
+TEST(MetricsRegistry, LatencyHistogramSharesTheLeRule) {
+  // serve's ledger histogram and a registry histogram over the same bounds
+  // bucket every sample alike, edges included.
+  const auto& b = serve::LatencyHistogram::kBoundsMs;
+  obs::Histogram reg_h({b.begin(), b.end()});
+  serve::LatencyHistogram ledger_h;
+  for (const double v : {0.0, 0.1, 0.1001, 0.7, 1.0, 42.0, 10000.0, 10000.5}) {
+    reg_h.observe(v);
+    ledger_h.observe(v);
+  }
+  const std::vector<std::uint64_t> ledger_counts(ledger_h.counts.begin(),
+                                                 ledger_h.counts.end());
+  EXPECT_EQ(reg_h.bucket_counts(), ledger_counts);
+  EXPECT_EQ(ledger_h.counts[0], 2u);           // 0 and the 0.1 edge
+  EXPECT_EQ(ledger_h.counts[b.size()], 1u);    // past 10 s: +Inf
+  EXPECT_EQ(ledger_h.count(), 8u);
+  EXPECT_DOUBLE_EQ(ledger_h.sum_ms, reg_h.sum());
+}
+
 TEST(MetricsRegistry, PrometheusExpositionGolden) {
   obs::MetricsRegistry reg;
   reg.counter("sne_test_requests_total", {{"tenant", "a\"b\\c\nd"}},
@@ -549,18 +590,37 @@ TEST(Adapters, ServerStatsPublishHeadlineAndTenantSeries) {
             std::string::npos);
   EXPECT_NE(text.find("sne_server_engine_leases_total 6\n"),
             std::string::npos);
+  // Latency is one histogram family per level; the server's is the sum of
+  // the tenants'.
+  EXPECT_NE(text.find("# TYPE sne_server_latency_ms histogram\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("sne_tenant_latency_ms_bucket{le=\"+Inf\","
+                      "tenant=\"default\"} 6\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("sne_server_latency_ms_count 6\n"), std::string::npos);
+  // Edges print in shortest round-trip form, so series aggregate by `le`.
+  EXPECT_NE(text.find("sne_server_latency_ms_bucket{le=\"0.1\"} "),
+            std::string::npos);
   // Republishing a fresher snapshot updates series in place, never
   // duplicates them (gauges like uptime move, so compare structure).
   const std::size_t families = reg.family_count();
   obs::publish_server_stats(reg, server.stats());
   EXPECT_EQ(reg.family_count(), families);
   const std::string again = reg.prometheus_text();
-  std::size_t hits = 0;
-  for (std::size_t pos = again.find("\nsne_server_submitted_total ");
-       pos != std::string::npos;
-       pos = again.find("\nsne_server_submitted_total ", pos + 1))
-    ++hits;
-  EXPECT_EQ(hits, 1u);
+  const auto lines = [&again](const std::string& prefix) {
+    std::size_t hits = 0;
+    for (std::size_t pos = again.find("\n" + prefix); pos != std::string::npos;
+         pos = again.find("\n" + prefix, pos + 1))
+      ++hits;
+    return hits;
+  };
+  EXPECT_EQ(lines("sne_server_submitted_total "), 1u);
+  // One series per bucket (finite edges + Inf), republished absolute.
+  const std::size_t buckets = serve::LatencyHistogram::kBoundsMs.size() + 1;
+  EXPECT_EQ(lines("sne_server_latency_ms_bucket{"), buckets);
+  EXPECT_EQ(lines("sne_tenant_latency_ms_bucket{"), buckets);
+  EXPECT_EQ(lines("sne_server_latency_ms_count "), 1u);
+  EXPECT_NE(again.find("sne_server_latency_ms_count 6\n"), std::string::npos);
 }
 
 TEST(Adapters, FaultSiteStatsPublishPerSiteSeries) {

@@ -43,9 +43,9 @@ TEST(ReceptiveInterval, MatchesBruteForce) {
           }
 }
 
-SliceConfig conv_cfg(const SneConfig& hw, std::uint16_t out_w,
-                     std::uint16_t out_h, std::uint8_t kernel,
-                     std::uint8_t stride, std::uint8_t pad) {
+SliceConfig conv_cfg(std::uint16_t out_w, std::uint16_t out_h,
+                     std::uint8_t kernel, std::uint8_t stride,
+                     std::uint8_t pad) {
   SliceConfig cfg;
   cfg.kind = LayerKind::kConv;
   cfg.in_channels = 1;
@@ -59,7 +59,7 @@ SliceConfig conv_cfg(const SneConfig& hw, std::uint16_t out_w,
   cfg.stride = stride;
   cfg.pad = pad;
   cfg.oc_per_slice = 1;
-  cfg.clusters = make_tiled_mapping(hw, out_w, out_h, 0, 1);
+  cfg.clusters = make_tiled_mapping(out_w, out_h, 0, 1);
   return cfg;
 }
 
@@ -68,7 +68,7 @@ TEST(SequencerTest, FixedSweepIsExactly48CyclesFor3x3) {
   // local rows -> a constant 48-slot sweep.
   SneConfig hw = SneConfig::paper_design_point(1);
   Sequencer seq(hw);
-  const SliceConfig cfg = conv_cfg(hw, 32, 32, 3, 1, 1);
+  const SliceConfig cfg = conv_cfg(32, 32, 3, 1, 1);
   for (int ey = 0; ey < 32; ++ey) {
     const auto sched = seq.update_schedule(cfg, 10, ey);
     ASSERT_EQ(sched.size(), hw.update_sweep_cycles) << "ey=" << ey;
@@ -79,7 +79,7 @@ TEST(SequencerTest, AdaptiveSweepIsShorterInTileInterior) {
   SneConfig hw = SneConfig::paper_design_point(1);
   hw.adaptive_sequencer = true;
   Sequencer seq(hw);
-  const SliceConfig cfg = conv_cfg(hw, 32, 32, 3, 1, 1);
+  const SliceConfig cfg = conv_cfg(32, 32, 3, 1, 1);
   // Event deep inside a tile: RF spans 3 rows of a single tile band -> 24.
   const auto interior = seq.update_schedule(cfg, 10, 4);
   EXPECT_EQ(interior.size(), 24u);
@@ -94,8 +94,8 @@ TEST(SequencerTest, SweepCoversAllReceptiveRows) {
   SneConfig hw = SneConfig::paper_design_point(1);
   Sequencer seq(hw);
   for (std::uint8_t kernel : {1, 3, 5}) {
-    const SliceConfig cfg = conv_cfg(hw, 32, 32, kernel,
-                                     1, static_cast<std::uint8_t>(kernel / 2));
+    const SliceConfig cfg =
+        conv_cfg(32, 32, kernel, 1, static_cast<std::uint8_t>(kernel / 2));
     for (int ey = 0; ey < 32; ey += 3) {
       const auto sched = seq.update_schedule(cfg, 0, ey);
       std::set<std::uint16_t> slots(sched.begin(), sched.end());
@@ -139,8 +139,7 @@ TEST(SequencerTest, FullScheduleForFireAndReset) {
 }
 
 TEST(MappingHelpers, TiledMappingCoversWindow) {
-  SneConfig hw = SneConfig::paper_design_point(1);
-  const auto maps = make_tiled_mapping(hw, 32, 32, 5, 1);
+  const auto maps = make_tiled_mapping(32, 32, 5, 1);
   std::set<std::pair<int, int>> bases;
   for (const auto& m : maps) {
     ASSERT_TRUE(m.enabled);
@@ -151,8 +150,7 @@ TEST(MappingHelpers, TiledMappingCoversWindow) {
 }
 
 TEST(MappingHelpers, TiledMappingMultiChannel) {
-  SneConfig hw = SneConfig::paper_design_point(1);
-  const auto maps = make_tiled_mapping(hw, 16, 16, 0, 4);
+  const auto maps = make_tiled_mapping(16, 16, 0, 4);
   // 2x2 tiles x 4 channels = 16 clusters, all enabled.
   int per_slot[4] = {0, 0, 0, 0};
   for (const auto& m : maps) {
@@ -163,13 +161,11 @@ TEST(MappingHelpers, TiledMappingMultiChannel) {
 }
 
 TEST(MappingHelpers, TiledMappingRejectsOversizedWindow) {
-  SneConfig hw = SneConfig::paper_design_point(1);
-  EXPECT_THROW(make_tiled_mapping(hw, 64, 64, 0, 1), ConfigError);
+  EXPECT_THROW(make_tiled_mapping(64, 64, 0, 1), ConfigError);
 }
 
 TEST(MappingHelpers, FcMappingDisablesPastEnd) {
-  SneConfig hw = SneConfig::paper_design_point(1);
-  const auto maps = make_fc_mapping(hw, 0, 100);  // 100 outputs < 2*64
+  const auto maps = make_fc_mapping(0, 100);  // 100 outputs < 2*64
   EXPECT_TRUE(maps[0].enabled);
   EXPECT_TRUE(maps[1].enabled);   // covers ids 64..127 (partially used)
   EXPECT_FALSE(maps[2].enabled);  // 128 >= 100

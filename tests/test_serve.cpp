@@ -479,7 +479,8 @@ TEST(ServerTest, ServedResultsMatchSerialReferenceAnyEngineCountAnyOrder) {
       EXPECT_EQ(st.engine_leases, inputs.size());
       EXPECT_LE(st.engines_constructed, engines);
       EXPECT_GT(st.total_sim_cycles, 0u);
-      EXPECT_GE(st.latency_ms_p99, st.latency_ms_p50);
+      // Every settled request is observed once in the latency histogram.
+      EXPECT_EQ(st.latency_ms.count(), st.completed + st.failed);
     }
   }
 }

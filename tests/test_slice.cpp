@@ -11,7 +11,7 @@
 namespace sne::core {
 namespace {
 
-SliceConfig simple_conv_cfg(const SneConfig& hw) {
+SliceConfig simple_conv_cfg() {
   SliceConfig cfg;
   cfg.kind = LayerKind::kConv;
   cfg.in_channels = 1;
@@ -27,7 +27,7 @@ SliceConfig simple_conv_cfg(const SneConfig& hw) {
   cfg.oc_per_slice = 1;
   cfg.lif.leak = 0;
   cfg.lif.v_th = 100;  // high threshold: no output spikes unless wanted
-  cfg.clusters = make_tiled_mapping(hw, 32, 32, 0, 1);
+  cfg.clusters = make_tiled_mapping(32, 32, 0, 1);
   return cfg;
 }
 
@@ -45,7 +45,7 @@ TEST(SliceTiming, BackToBackUpdatesCost48CyclesEach) {
   // steady state, N broadcast UPDATE events occupy a slice for 48N cycles.
   SneConfig hw = SneConfig::paper_design_point(1);
   SneEngine engine(hw);
-  engine.configure_slice(0, simple_conv_cfg(hw));
+  engine.configure_slice(0, simple_conv_cfg());
   load_uniform_kernel(engine.slice(0), engine.slice(0).config(), 1);
   engine.set_routes(XbarRoutes::time_multiplexed(1));
 
@@ -78,7 +78,7 @@ TEST(SliceTiming, SingleBufferedStateDoublesUpdateOccupancy) {
   int k = 0;
   for (const SneConfig& hw : {fast, slow}) {
     SneEngine engine(hw);
-    engine.configure_slice(0, simple_conv_cfg(hw));
+    engine.configure_slice(0, simple_conv_cfg());
     load_uniform_kernel(engine.slice(0), engine.slice(0).config(), 1);
     engine.set_routes(XbarRoutes::time_multiplexed(1));
     cycles[k++] = engine.run(in.to_beats()).cycles;
@@ -90,7 +90,7 @@ TEST(SliceCounters, ClockGatingCountsFilteredClusters) {
   // A 3x3 RF touches at most 4 of the 16 clusters; the rest are gated.
   SneConfig hw = SneConfig::paper_design_point(1);
   SneEngine engine(hw);
-  engine.configure_slice(0, simple_conv_cfg(hw));
+  engine.configure_slice(0, simple_conv_cfg());
   load_uniform_kernel(engine.slice(0), engine.slice(0).config(), 1);
   engine.set_routes(XbarRoutes::time_multiplexed(1));
 
@@ -108,7 +108,7 @@ TEST(SliceCounters, GatingDisabledBurnsActiveCycles) {
   SneConfig hw = SneConfig::paper_design_point(1);
   hw.clock_gating = false;
   SneEngine engine(hw);
-  engine.configure_slice(0, simple_conv_cfg(hw));
+  engine.configure_slice(0, simple_conv_cfg());
   load_uniform_kernel(engine.slice(0), engine.slice(0).config(), 1);
   engine.set_routes(XbarRoutes::time_multiplexed(1));
   event::EventStream in(event::StreamGeometry{1, 32, 32, 1});
@@ -121,7 +121,7 @@ TEST(SliceCounters, GatingDisabledBurnsActiveCycles) {
 TEST(SliceFilter, OutOfRangeEventsDropAtDecode) {
   SneConfig hw = SneConfig::paper_design_point(1);
   SneEngine engine(hw);
-  SliceConfig cfg = simple_conv_cfg(hw);
+  SliceConfig cfg = simple_conv_cfg();
   engine.configure_slice(0, cfg);
   engine.set_routes(XbarRoutes::time_multiplexed(1));
   event::EventStream in(event::StreamGeometry{4, 64, 64, 1});
@@ -141,13 +141,13 @@ TEST(SliceWeights, StreamedWloadEqualsHostLoad) {
 
   // Path A: host load.
   SneEngine a(hw);
-  a.configure_slice(0, simple_conv_cfg(hw));
+  a.configure_slice(0, simple_conv_cfg());
   for (std::size_t k = 0; k < codes.size(); ++k)
     a.slice(0).weights().write(0, static_cast<std::uint32_t>(k), codes[k]);
 
   // Path B: WLOAD stream.
   SneEngine b(hw);
-  b.configure_slice(0, simple_conv_cfg(hw));
+  b.configure_slice(0, simple_conv_cfg());
   b.set_routes(XbarRoutes::time_multiplexed(1));
   std::vector<event::Beat> prog;
   event::WeightHeader h;
@@ -170,7 +170,7 @@ TEST(SliceWeights, StreamedWloadEqualsHostLoad) {
 TEST(SliceFire, SpikesDrainThroughClusterFifosAndCollector) {
   SneConfig hw = SneConfig::paper_design_point(1);
   SneEngine engine(hw);
-  SliceConfig cfg = simple_conv_cfg(hw);
+  SliceConfig cfg = simple_conv_cfg();
   cfg.lif.v_th = 0;  // every touched neuron fires
   engine.configure_slice(0, cfg);
   load_uniform_kernel(engine.slice(0), cfg, 7);
@@ -199,7 +199,7 @@ TEST(RegFileTest, GlobalRegistersReadOnly) {
 TEST(RegFileTest, SliceConfigRoundTrip) {
   SneConfig hw = SneConfig::paper_design_point(2);
   RegisterFile regs(hw);
-  SliceConfig cfg = simple_conv_cfg(hw);
+  SliceConfig cfg = simple_conv_cfg();
   cfg.lif.leak = 3;
   cfg.lif.v_th = -5;
   cfg.lif.reset_mode = neuron::ResetMode::kSubtractThreshold;
@@ -229,7 +229,7 @@ TEST(RegFileTest, DecodedConfigDrivesSlice) {
   // C++-API configuration.
   SneConfig hw = SneConfig::paper_design_point(1);
   RegisterFile regs(hw);
-  SliceConfig cfg = simple_conv_cfg(hw);
+  SliceConfig cfg = simple_conv_cfg();
   cfg.lif.v_th = 0;
   regs.encode_slice(0, cfg, RegisterFile::MapMode::kTiled, 0);
   ASSERT_TRUE(regs.consume_apply(0));
@@ -245,17 +245,16 @@ TEST(RegFileTest, DecodedConfigDrivesSlice) {
 }
 
 TEST(SliceConfigTest, ValidationRejectsBadGeometry) {
-  SneConfig hw = SneConfig::paper_design_point(1);
-  SliceConfig cfg = simple_conv_cfg(hw);
+  SliceConfig cfg = simple_conv_cfg();
   cfg.kernel_w = 9;  // 9x3 > 64 would be fine; 9 wide is ok; make it > set
   cfg.kernel_h = 9;  // 81 > 64 weights per set
   EXPECT_THROW(cfg.validate(), ConfigError);
 
-  SliceConfig cfg2 = simple_conv_cfg(hw);
+  SliceConfig cfg2 = simple_conv_cfg();
   cfg2.clusters.pop_back();
   EXPECT_THROW(cfg2.validate(), ConfigError);
 
-  SliceConfig cfg3 = simple_conv_cfg(hw);
+  SliceConfig cfg3 = simple_conv_cfg();
   cfg3.in_channels = 200;
   cfg3.oc_per_slice = 2;  // 400 sets > 256
   EXPECT_THROW(cfg3.validate(), ConfigError);

@@ -6,7 +6,9 @@
 //   - Fairness is policy, results are physics: deficit-round-robin may
 //     reorder and shed, but every completed result stays bitwise identical
 //     to the serial reference, and `completed + failed == submitted` holds
-//     per tenant as well as globally.
+//     per tenant as well as globally. The global ledger is the sum of the
+//     tenant ledgers in every snapshot
+//     (testutil::expect_headline_is_tenant_sum).
 //   - Sessions carry neuron state across chunks through a snapshot that
 //     every chunk restores onto the engine it leases: a mid-session crash
 //     loses only the in-flight chunk, and the chunks around it are bitwise
@@ -32,6 +34,7 @@
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "serve/session.h"
+#include "ledger_util.h"
 #include "test_util.h"
 
 namespace sne {
@@ -394,6 +397,7 @@ TEST(TenantServerTest, SaturatedSharesTrackWeights) {
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
   do {
     const serve::ServerStats st = server.stats();
+    testutil::expect_headline_is_tenant_sum(st);
     ca = tenant_stats(st, "a").completed;
     cb = tenant_stats(st, "b").completed;
     cc = tenant_stats(st, "c").completed;
@@ -487,6 +491,7 @@ TEST(TenantServerTest, MisbehavingTenantCannotStarveOthers) {
   // Per-tenant drain invariant: everything admitted was answered.
   EXPECT_EQ(greedy.completed + greedy.failed, greedy.submitted);
   EXPECT_EQ(st.completed + st.failed, st.submitted);
+  testutil::expect_headline_is_tenant_sum(st);
 }
 
 TEST(TenantServerTest, SchedulingNeverChangesResults) {
@@ -531,6 +536,101 @@ TEST(TenantServerTest, SchedulingNeverChangesResults) {
   EXPECT_EQ(st.completed, inputs.size());
   for (const TenantStats& t : st.tenants)
     EXPECT_EQ(t.completed + t.failed, t.submitted) << t.name;
+  testutil::expect_headline_is_tenant_sum(st);
+}
+
+TEST(TenantServerTest, HeadlineSumsTheTenantLedgersInEverySnapshot) {
+  serve::ModelRegistry registry;
+  registry.put("m", tiny_net());
+  serve::ServeOptions so;
+  so.engines = 1;
+  so.memory_words = 1u << 20;
+  so.warm_weights = false;  // every dispatch programs: the retry fault site
+  serve::InferenceServer server(registry, SneConfig::paper_design_point(2),
+                                so);
+  TenantConfig small;
+  small.max_queue = 4;
+  server.register_tenant("a", small);
+  server.register_tenant("b", small);
+  TenantConfig deep;
+  deep.max_queue = 32;
+  server.register_tenant("doomed", deep);
+  server.register_tenant("late", deep);
+
+  // The first dispatch stalls 50 ms and every later one 2 ms, which keeps
+  // the queues full. Programming hit 2 fails and its retry (hit 3) fails
+  // too, exhausting the budget of 1; the next request's hit 4 fails once
+  // more and its retry succeeds.
+  faults::FaultConfig fc;
+  fc.seed = 7;
+  fc.rules.push_back({"serve.server.dispatch", {1}, 0.0, /*stall_ms=*/50.0});
+  fc.rules.push_back({"serve.server.dispatch", {}, 1.0, /*stall_ms=*/2.0});
+  fc.rules.push_back({"ecnn.runner.program", {2, 3, 4}, 0.0, 0.0});
+  faults::ScopedFaults chaos(fc);
+
+  // Every snapshot, mid-flight included, sums exactly.
+  const auto check = [&server] {
+    testutil::expect_headline_is_tenant_sum(server.stats());
+  };
+  const auto in = data::random_stream({1, 8, 8, 4}, 0.1, 77);
+  std::vector<serve::Ticket> tickets;
+  for (int i = 0; i < 16; ++i) {
+    serve::RequestOptions ro;
+    ro.tenant = "doomed";
+    tickets.push_back(server.submit("m", in, ro));
+  }
+  // The worker takes the first doomed request into its 50 ms stall.
+  const auto wake_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (tenant_stats(server.stats(), "doomed").inflight == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), wake_deadline);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  // Queued behind the 50 ms stall with a 20 ms budget: these expire in
+  // queue (the deep queue never fills, so none is displaced instead).
+  for (int i = 0; i < 4; ++i) {
+    serve::RequestOptions ro =
+        serve::RequestOptions::within(std::chrono::milliseconds(20));
+    ro.tenant = "late";
+    tickets.push_back(server.submit("m", in, ro));
+  }
+  // Evicted with all but the stalled request still queued.
+  server.evict_tenant("doomed");
+  check();
+  const char* const lanes[] = {"a", "b"};
+  for (int i = 0; i < 60; ++i) {
+    serve::RequestOptions ro;
+    ro.tenant = lanes[i % 2];
+    const auto now = std::chrono::steady_clock::now();
+    if (i % 5 == 0)
+      ro.deadline = now - std::chrono::milliseconds(1);  // shed at admission
+    else if (i % 5 == 1)
+      ro.deadline = now + std::chrono::milliseconds(1);  // expired or displaced
+    if (auto t = server.try_submit("m", in, ro)) tickets.push_back(*t);
+    check();
+  }
+  for (const serve::Ticket& t : tickets) {
+    try {
+      (void)t.wait();
+    } catch (const std::exception&) {
+      // shed, expired, evicted or out of retries: all on the ledger
+    }
+    check();
+  }
+  server.drain();
+
+  const serve::ServerStats st = server.stats();
+  testutil::expect_headline_is_tenant_sum(st);
+  EXPECT_EQ(st.completed + st.failed, st.submitted);
+  for (const TenantStats& t : st.tenants)
+    EXPECT_EQ(t.completed + t.failed, t.submitted) << t.name;
+  // Every ledger path ran.
+  EXPECT_EQ(tenant_stats(st, "doomed").evicted, 15u);
+  EXPECT_GT(st.shed, 0u);
+  EXPECT_GT(st.rejected, 0u);
+  EXPECT_GE(st.retried, 2u);
+  EXPECT_EQ(tenant_stats(st, "late").expired, 4u);
+  EXPECT_GT(st.completed, 0u);
 }
 
 TEST(TenantServerTest, UnknownTenantIsAConfigError) {
@@ -897,6 +997,9 @@ TEST(TenantServerTest, SessionQuotaAndEviction) {
   EXPECT_EQ(ts.sessions_opened, 1u);
   EXPECT_EQ(ts.sessions_closed, 1u);
   EXPECT_EQ(ts.chunks_completed, 1u);
+  // The evicted tenant's ledger still counts in the headline.
+  EXPECT_EQ(ts.latency_ms.count(), 1u);
+  testutil::expect_headline_is_tenant_sum(st);
   // The freed quota slot is not reusable — the tenant itself is gone.
   serve::SessionOptions again;
   again.tenant = "streamer";
