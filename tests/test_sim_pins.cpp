@@ -263,6 +263,30 @@ TEST(SimPins, DenseLayerUnderContentKeyedStalls) {
   expect_pinned(want, observe_run(hw, r));
 }
 
+// A conv layer with more output channels than one round carries (3->20 on
+// 12x12 over 2 slices): the runner replays the input once per round and
+// merges the rounds' outputs into one time-major stream, so the digest pins
+// the order of that merge within each timestep.
+TEST(SimPins, MultiRoundConvOnTwoSlices) {
+  QuantizedNetwork net;
+  net.layers.push_back(conv(3, 12, 20, 3, -3, 29));
+  const SneConfig hw = SneConfig::paper_design_point(2);
+  core::SneEngine engine(hw, 1u << 20);
+  ecnn::NetworkRunner runner(engine, /*use_wload_stream=*/false);
+  const NetworkRunStats r =
+      runner.run(net, data::random_stream({3, 12, 12, 8}, 0.05, 999));
+  EXPECT_GT(r.layers.front().rounds, 1u);
+
+  const Pin want = {
+      33627,
+      {33627, 33, 55942, 29800, 0, 23040, 40, 5120, 466560, 268160, 52840,
+       57960, 0, 920, 8152, 26090, 26090, 8389, 8776, 386, 759, 8197, 180},
+      23553.600000000002, 27989.540000000001, 1240.0799999999999,
+      4548.8335777499997,
+      0xe822d1ad83689275ull};
+  expect_pinned(want, observe_run(hw, r));
+}
+
 // Weight-resident serving with WLOAD-streamed programming on one engine: the
 // first request programs every pass over the C-XBAR, the second finds the
 // last round's passes resident and skips their programming.
