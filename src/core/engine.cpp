@@ -213,6 +213,13 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
                                   out_dmas_[i].written());
       beats.insert(beats.end(), part.begin(), part.end());
     }
+    // The image is out of normal form in two ways. Every slice on a
+    // broadcast forwards its own RST/FIRE marker once its scan's spikes are
+    // collected (Slice::tick_drain), and the collector interleaves those
+    // markers with other slices' spikes of the same timestep. With several
+    // output DMAs, each region restarts at the first timestep. The bucket
+    // pass is stable: the spikes of one timestep keep their order in the
+    // image.
     r.output = event::EventStream::from_beats(beats, opts.out_geometry);
     r.output.normalize();
   }

@@ -148,6 +148,7 @@ event::EventStream random_stream(event::StreamGeometry g, double activity,
           if (rng.bernoulli(activity))
             s.push_update(t, ch, static_cast<std::uint8_t>(x),
                           static_cast<std::uint8_t>(y));
+  SNE_ENSURES(s.is_normalized());
   return s;
 }
 
@@ -186,7 +187,7 @@ Dataset make_gesture_dataset(const GestureConfig& cfg) {
         background_noise(sample.stream, rng, cfg.noise_rate, t);
         prev = cur;
       }
-      sample.stream.normalize();
+      SNE_ENSURES(sample.stream.is_normalized());  // emitted step by step
       d.samples.push_back(std::move(sample));
     }
   }
@@ -335,7 +336,7 @@ Dataset make_nmnist_dataset(const NmnistConfig& cfg) {
         pdx = dx;
         pdy = dy;
       }
-      sample.stream.normalize();
+      SNE_ENSURES(sample.stream.is_normalized());  // emitted step by step
       d.samples.push_back(std::move(sample));
     }
   }

@@ -28,6 +28,13 @@ std::vector<event::Beat> SlicePass::wload_beats() const {
   return beats;
 }
 
+std::uint64_t SlicePass::wload_beat_count() const {
+  std::uint64_t beats = 0;
+  for (const auto& [set, codes] : weight_image)
+    beats += 1 + (codes.size() + 7) / 8;
+  return beats;
+}
+
 void SlicePass::write_weights(core::WeightMemory& w) const {
   for (const auto& [set, codes] : weight_image)
     for (std::size_t i = 0; i < codes.size(); ++i)
@@ -152,7 +159,7 @@ LayerPlan Mapper::plan_conv(const QuantizedLayerSpec& layer,
 
   for (const Round& r : plan.rounds)
     for (const SlicePass& p : r.passes)
-      plan.weight_beats += p.wload_beats().size();
+      plan.weight_beats += p.wload_beat_count();
   return plan;
 }
 
@@ -235,7 +242,7 @@ LayerPlan Mapper::plan_fc(const QuantizedLayerSpec& layer,
 
   for (const Round& r : plan.rounds)
     for (const SlicePass& p : r.passes)
-      if (!p.host_load_only) plan.weight_beats += p.wload_beats().size();
+      if (!p.host_load_only) plan.weight_beats += p.wload_beat_count();
   return plan;
 }
 

@@ -43,6 +43,9 @@ struct SlicePass {
 
   /// Serializes the weight image into WLOAD header+payload beats.
   std::vector<event::Beat> wload_beats() const;
+  /// wload_beats().size() without building the beats: one header plus one
+  /// payload beat per 8 codes, for each set of the image.
+  std::uint64_t wload_beat_count() const;
   /// Host load of the weight image: writes every code straight into `w`.
   void write_weights(core::WeightMemory& w) const;
 };

@@ -188,7 +188,11 @@ LayerRunStats NetworkRunner::run_layer(const QuantizedLayerSpec& layer,
   stats.counters += stats.programming;
   stats.cycles += stats.programming_cycles;
 
-  stats.output.normalize();
+  // Rounds append whole streams one after another: one bucket pass puts
+  // them in time-major order, each timestep's spikes in round order. A
+  // single round's spikes are a subsequence of the engine's output, which
+  // is already in normal form.
+  if (plan.rounds.size() > 1) stats.output.normalize();
   stats.output_events = stats.output.update_count();
   if (!stats.profile.empty()) {
     stats.profile.passes_total = stats.passes_total;
@@ -249,9 +253,7 @@ void NetworkRunner::program_weights(const SlicePass& pass,
     // here so energy matches the WLOAD-stream path.
     pass.write_weights(slice.weights());
     if (!pass.host_load_only) {
-      std::uint64_t beats = 0;
-      for (const auto& [set, codes] : pass.weight_image)
-        beats += 1 + (codes.size() + 7) / 8;  // header + payload
+      const std::uint64_t beats = pass.wload_beat_count();
       agg.weight_load_beats += beats;
       agg.dma_read_beats += beats;
     }

@@ -43,6 +43,7 @@ inline void save_stream(const EventStream& s, const std::string& path) {
 /// to zero-fill whatever followed the truncation point and silently yield a
 /// partial stream) and trailing bytes are rejected, so a corrupted or
 /// mis-concatenated recording fails loudly instead of simulating garbage.
+/// A file is an untrusted producer, so the stream comes back in normal form.
 inline EventStream load_stream(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) throw ConfigError("cannot open for reading: " + path);
@@ -64,7 +65,9 @@ inline EventStream load_stream(const std::string& path) {
   for (std::uint32_t i = 0; i < count; ++i) beats.push_back(get());
   if (f.peek() != std::ifstream::traits_type::eof())
     throw ConfigError("trailing bytes after stream in " + path);
-  return EventStream::from_beats(beats, g);
+  EventStream s = EventStream::from_beats(beats, g);
+  s.normalize();
+  return s;
 }
 
 /// In-memory SNE1 encoding — byte-identical to what save_stream writes.
@@ -92,7 +95,8 @@ inline std::string encode_stream(const EventStream& s) {
 /// Decodes an SNE1 blob produced by encode_stream/save_stream, with the same
 /// strictness as load_stream: truncation and trailing bytes both throw
 /// ConfigError (`what` names the failing input, e.g. "request body"), so a
-/// torn or padded network body never silently yields a partial stream.
+/// torn or padded network body never silently yields a partial stream. Like
+/// load_stream, it returns the stream in normal form.
 inline EventStream decode_stream(const char* data, std::size_t n,
                                  const std::string& what = "stream blob") {
   std::size_t off = 0;
@@ -114,7 +118,9 @@ inline EventStream decode_stream(const char* data, std::size_t n,
   beats.reserve(std::min<std::uint32_t>(count, 1u << 20));
   for (std::uint32_t i = 0; i < count; ++i) beats.push_back(get());
   if (off != n) throw ConfigError("trailing bytes after " + what);
-  return EventStream::from_beats(beats, g);
+  EventStream s = EventStream::from_beats(beats, g);
+  s.normalize();
+  return s;
 }
 
 }  // namespace sne::event

@@ -1,10 +1,12 @@
 // Event format and stream container tests (paper Fig. 1 + section III-C).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "event/event.h"
@@ -149,6 +151,165 @@ TEST(EventStreamTest, MergePreservesEventsAndNormalizes) {
   EXPECT_EQ(m.size(), 2u);
   EXPECT_TRUE(m.is_normalized());
   EXPECT_EQ(m.events()[0].t, 0);
+}
+
+// Differential oracles: the append-then-stable-sort implementations that
+// normalize() and with_control_events() replaced. The library's versions
+// must reproduce their output event for event.
+int ref_rank(Op op) {
+  switch (op) {
+    case Op::kReset: return 0;
+    case Op::kWeight: return 1;
+    case Op::kUpdate: return 2;
+    case Op::kFire: return 3;
+  }
+  return 4;
+}
+
+std::vector<Event> ref_normalize(std::vector<Event> v) {
+  std::stable_sort(v.begin(), v.end(), [](const Event& a, const Event& b) {
+    if (a.t != b.t) return a.t < b.t;
+    return ref_rank(a.op) < ref_rank(b.op);
+  });
+  return v;
+}
+
+std::vector<Event> ref_with_control_events(const EventStream& in,
+                                           FirePolicy policy,
+                                           bool initial_reset) {
+  const std::uint16_t steps = in.geometry().timesteps;
+  std::vector<Event> out;
+  if (initial_reset) out.push_back(Event::reset(0));
+  std::vector<bool> active(steps, false);
+  for (const Event& e : in.events())
+    if (e.op == Op::kUpdate) {
+      out.push_back(e);
+      active[e.t] = true;
+    }
+  for (std::uint16_t t = 0; t < steps; ++t)
+    if (policy == FirePolicy::kEveryStep || active[t])
+      out.push_back(Event::fire(t));
+  return ref_normalize(std::move(out));
+}
+
+// Every event is distinct: (ch, x) carries its draw index, so any reordering
+// of equal (t, op) keys shows up as a mismatch.
+constexpr StreamGeometry kTagged{256, 128, 1, 1};
+
+EventStream random_events(Rng& rng, std::uint16_t timesteps, std::size_t n,
+                          std::uint16_t t_lo, std::uint16_t t_hi,
+                          bool updates_only) {
+  StreamGeometry g = kTagged;
+  g.timesteps = timesteps;
+  EventStream s(g);
+  for (std::size_t i = 0; i < n; ++i) {
+    Event e;
+    e.op = updates_only ? Op::kUpdate : static_cast<Op>(rng.uniform_int(0, 3));
+    e.t = static_cast<std::uint16_t>(rng.uniform_int(t_lo, t_hi));
+    e.ch = static_cast<std::uint16_t>(i & 0xFF);
+    e.x = static_cast<std::uint8_t>(i >> 8);
+    s.push(e);
+  }
+  return s;
+}
+
+EventStream from_events(std::uint16_t timesteps, const std::vector<Event>& v) {
+  StreamGeometry g = kTagged;
+  g.timesteps = timesteps;
+  EventStream s(g);
+  for (const Event& e : v) s.push(e);
+  return s;
+}
+
+void expect_normalize_matches_reference(const EventStream& in) {
+  const std::vector<Event> want = ref_normalize(in.events());
+  EventStream got = in;
+  got.normalize();
+  EXPECT_TRUE(got.is_normalized());
+  EXPECT_EQ(got.events(), want);
+  EXPECT_EQ(in.is_normalized(), in.events() == want);
+}
+
+TEST(EventStreamDifferential, NormalizeMatchesStableSort) {
+  Rng rng(2801);
+  for (int rep = 0; rep < 40; ++rep) {
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 600));
+    // Narrow ranges force many (t, op) ties; wide ones spread the buckets.
+    const std::uint16_t span =
+        static_cast<std::uint16_t>(rng.uniform_int(0, 1) ? 3 : 255);
+    const EventStream s = random_events(rng, 256, n, 0, span, false);
+    SCOPED_TRACE("rep " + std::to_string(rep));
+    expect_normalize_matches_reference(s);
+    // Already sorted, and reverse-sorted.
+    const std::vector<Event> sorted = ref_normalize(s.events());
+    expect_normalize_matches_reference(from_events(256, sorted));
+    expect_normalize_matches_reference(
+        from_events(256, {sorted.rbegin(), sorted.rend()}));
+    // Long in-form runs of spikes cut by stray markers of the same timestep:
+    // the shape of a multi-slice engine output image.
+    std::vector<Event> cut =
+        ref_normalize(random_events(rng, 256, n, 0, span, true).events());
+    for (int k = 0; k < 12 && !cut.empty(); ++k) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(cut.size()) - 1));
+      const std::uint16_t t = cut[at].t;
+      cut.insert(cut.begin() + static_cast<std::ptrdiff_t>(at),
+                 k % 3 == 0 ? Event::reset(t) : Event::fire(t));
+    }
+    expect_normalize_matches_reference(from_events(256, cut));
+  }
+}
+
+TEST(EventStreamDifferential, NormalizeSingleStepAndSixteenBitTimes) {
+  Rng rng(2802);
+  // One timestep: only the op rank orders, all four ops tied in bulk.
+  expect_normalize_matches_reference(
+      random_events(rng, 256, 400, 42, 42, false));
+  expect_normalize_matches_reference(random_events(rng, 1, 50, 0, 0, false));
+  // Timesteps across the whole 16-bit geometry range, a narrow band at its
+  // top (the buckets start at the stream's first timestep, not at 0), and
+  // the two extremes alone.
+  expect_normalize_matches_reference(
+      random_events(rng, 0xFFFF, 500, 0, 0xFFFE, false));
+  expect_normalize_matches_reference(
+      random_events(rng, 0xFFFF, 500, 0xFFF0, 0xFFFE, false));
+  expect_normalize_matches_reference(from_events(
+      0xFFFF, {Event::fire(0xFFFE), Event::update(0xFFFE, 1, 1, 0),
+               Event::fire(0), Event::update(0, 2, 2, 0), Event::reset(0xFFFE),
+               Event::reset(0)}));
+  expect_normalize_matches_reference(from_events(256, {}));
+  expect_normalize_matches_reference(from_events(256, {Event::fire(7)}));
+}
+
+TEST(EventStreamDifferential, ControlEventsMatchAppendThenSort) {
+  Rng rng(2803);
+  for (int rep = 0; rep < 60; ++rep) {
+    const std::uint16_t steps =
+        static_cast<std::uint16_t>(rng.uniform_int(1, 40));
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 300));
+    // Sparse draws leave silent steps; updates-only and mixed-op inputs
+    // (inputs that already carry RST/FIRE/WLOAD events) alternate.
+    const bool updates_only = rep % 2 == 0;
+    const EventStream unsorted =
+        random_events(rng, steps, n, 0, steps - 1, updates_only);
+    const EventStream sorted =
+        from_events(steps, ref_normalize(unsorted.events()));
+    for (const EventStream* in : {&unsorted, &sorted})
+      for (FirePolicy policy :
+           {FirePolicy::kActiveStepsOnly, FirePolicy::kEveryStep})
+        for (bool initial_reset : {true, false}) {
+          SCOPED_TRACE("rep " + std::to_string(rep) + " sorted " +
+                       std::to_string(in == &sorted) + " every " +
+                       std::to_string(policy == FirePolicy::kEveryStep) +
+                       " reset " + std::to_string(initial_reset));
+          const EventStream got =
+              in->with_control_events(policy, initial_reset);
+          EXPECT_TRUE(got.is_normalized());
+          EXPECT_EQ(got.events(),
+                    ref_with_control_events(*in, policy, initial_reset));
+          EXPECT_EQ(got.geometry().timesteps, steps);
+        }
+  }
 }
 
 TEST(EventIo, FileRoundTrip) {

@@ -178,5 +178,55 @@ TEST(MapperWeights, WloadBeatsRoundTripThroughWeightMemory) {
       ASSERT_EQ(wm.read(set, static_cast<std::uint32_t>(k)), codes[k]);
 }
 
+TEST(MapperWeights, BeatCountMatchesSerializedBeats) {
+  // wload_beat_count() sizes the WLOAD image without building it; the plan's
+  // weight_beats is its sum over the passes that load through WLOAD.
+  Rng rng(77);
+  QuantizedLayerSpec conv;
+  conv.type = LayerSpec::Type::kConv;
+  conv.name = "count_conv";
+  conv.in_ch = 3;
+  conv.in_w = 12;
+  conv.in_h = 12;
+  conv.out_ch = 20;
+  conv.kernel = 3;
+  conv.stride = 1;
+  conv.pad = 1;
+  conv.weights.resize(static_cast<std::size_t>(20) * 3 * 9);
+  conv.lif.v_th = 1;
+  QuantizedLayerSpec fc;
+  fc.type = LayerSpec::Type::kFc;
+  fc.name = "count_fc";  // 72 positions: DMA-streamed
+  fc.in_ch = 2;
+  fc.in_w = 6;
+  fc.in_h = 6;
+  fc.out_ch = 37;
+  fc.weights.resize(static_cast<std::size_t>(37) * 72);
+  fc.lif.v_th = 1;
+  QuantizedLayerSpec fc_resident = fc;  // 16 positions: buffer-resident
+  fc_resident.name = "count_fc_resident";
+  fc_resident.in_ch = 1;
+  fc_resident.in_w = 4;
+  fc_resident.in_h = 4;
+  fc_resident.weights.resize(static_cast<std::size_t>(37) * 16);
+  for (QuantizedLayerSpec* l : {&conv, &fc, &fc_resident})
+    for (auto& w : l->weights)
+      w = static_cast<std::int8_t>(rng.uniform_int(-8, 7));
+
+  const Mapper mapper(core::SneConfig::paper_design_point(2));
+  for (const QuantizedLayerSpec* l : {&conv, &fc, &fc_resident}) {
+    const LayerPlan plan = mapper.plan(*l, 4);
+    std::uint64_t wload = 0;
+    for (const Round& round : plan.rounds)
+      for (const SlicePass& pass : round.passes) {
+        EXPECT_EQ(pass.wload_beat_count(), pass.wload_beats().size())
+            << l->name;
+        if (!pass.host_load_only) wload += pass.wload_beat_count();
+      }
+    EXPECT_EQ(plan.weight_beats, wload) << l->name;
+    EXPECT_EQ(plan.weight_beats == 0, l == &fc) << l->name;  // fc streams
+  }
+}
+
 }  // namespace
 }  // namespace sne::ecnn
