@@ -18,6 +18,7 @@
 #include <bit>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -415,6 +416,84 @@ TEST(EnginePoolTest, TaggedAcquiresPreferResidentEngines) {
   EXPECT_EQ(ps.constructed, 2u);
   EXPECT_EQ(ps.leases, 3u);
   EXPECT_EQ(ps.warm_leases, 1u);
+}
+
+TEST(EnginePoolTest, PickOrderIsNewestFirstWithinEachClass) {
+  // Pins the free-engine pick order: a tagged acquire takes the newest
+  // same-tag engine, else the newest never-tagged one, else the newest free
+  // one of another model; an untagged acquire takes the newest free engine.
+  // "Newest" is the most recently released.
+  const SneConfig hw = SneConfig::paper_design_point(2);
+  ecnn::EnginePoolOptions po;
+  po.max_engines = 4;
+  ecnn::EnginePool pool(hw, 4, po);
+  const std::uint64_t tag_a = 111, tag_b = 222, tag_c = 333;
+  using Held = std::optional<ecnn::EnginePool::Lease>;
+
+  // Learn the four engines, then release them untagged in order x[0..3].
+  std::vector<Held> all(4);
+  std::vector<core::SneEngine*> x(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    all[i].emplace(pool.acquire());
+    x[i] = &all[i]->engine();
+  }
+  for (auto& h : all) h.reset();
+  // Free: x0 < x1 < x2 < x3, all never-tagged.
+
+  Held a1, a2;
+  a1.emplace(pool.acquire(tag_a));
+  EXPECT_EQ(&a1->engine(), x[3]);  // newest never-tagged
+  a2.emplace(pool.acquire(tag_a));
+  EXPECT_EQ(&a2->engine(), x[2]);
+  a2.reset();
+  a1.reset();
+  // Free: x0(0) < x1(0) < x2(A) < x3(A).
+
+  a1.emplace(pool.acquire(tag_a));
+  EXPECT_EQ(&a1->engine(), x[3]);  // newest same-tag
+  a2.emplace(pool.acquire(tag_a));
+  EXPECT_EQ(&a2->engine(), x[2]);
+  Held b;
+  b.emplace(pool.acquire(tag_b));
+  EXPECT_EQ(&b->engine(), x[1]);  // newest never-tagged
+  b.reset();
+  // Free: x0(0) < x1(B). A never-tagged engine beats a newer one of
+  // another model.
+  Held a3;
+  a3.emplace(pool.acquire(tag_a));
+  EXPECT_EQ(&a3->engine(), x[0]);
+  // Free: x1(B) only. No same-tag or never-tagged engine: fall back.
+  Held c1;
+  c1.emplace(pool.acquire(tag_c));
+  EXPECT_EQ(&c1->engine(), x[1]);
+  a1.reset();
+  a2.reset();
+  // Free: x3(A) < x2(A). The fallback takes the newest.
+  Held c2;
+  c2.emplace(pool.acquire(tag_c));
+  EXPECT_EQ(&c2->engine(), x[2]);
+
+  c2.reset();
+  a3.reset();
+  c1.reset();
+  // Free: x3(A) < x2(C) < x0(A) < x1(C). Untagged takes the newest.
+  Held u;
+  u.emplace(pool.acquire());
+  EXPECT_EQ(&u->engine(), x[1]);
+  u.reset();
+  // Free: x3(A) < x2(C) < x0(A) < x1(0).
+  a1.emplace(pool.acquire(tag_a));
+  EXPECT_EQ(&a1->engine(), x[0]);  // newest same-tag, over never-tagged x1
+  a1.reset();
+  // Free: x3(A) < x2(C) < x1(0) < x0(A). Untagged ignores the tag classes.
+  u.emplace(pool.acquire());
+  EXPECT_EQ(&u->engine(), x[0]);
+  u.reset();
+
+  const ecnn::EnginePool::Stats ps = pool.stats();
+  EXPECT_EQ(ps.constructed, 4u);
+  EXPECT_EQ(ps.leases, 15u);
+  EXPECT_EQ(ps.warm_leases, 3u);  // the three same-tag picks
 }
 
 TEST(BatchRunnerTest, PooledRunMatchesFreshUnderStallRng) {
