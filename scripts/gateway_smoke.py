@@ -14,7 +14,8 @@ but the standard library:
   3. POST /v1/infer with a hand-packed SNE1 body -> 200, an X-Sne-Cycles
      header, and an SNE1 response body (magic + geometry verified),
   4. opens a streaming session, feeds it two chunks (the second via chunked
-     transfer-encoding), closes it,
+     transfer-encoding) with a chunk between them whose spike lies past its
+     declared timesteps (400), closes it,
   4b. with the binary's default 2 engines, opens 2 sessions: a third open
      answers 503 + Retry-After (no engine free) while /healthz still
      answers 200; then closes both,
@@ -149,6 +150,11 @@ def main():
         status, _, _ = exchange("POST", f"/v1/session/{sid}/feed",
                                 demo_body(4, 1))
         expect(status == 200, "session feed answers 200")
+        # A chunk whose spike lies past its declared timesteps is refused at
+        # decode; the session is untouched and takes its next chunk.
+        status, _, _ = exchange("POST", f"/v1/session/{sid}/feed",
+                                pack_stream(1, 16, 16, 4, [beat(1, 4, 0, 3, 3)]))
+        expect(status == 400, "spike past the chunk's timesteps answers 400")
         # Hand-rolled chunked transfer-encoding (putrequest, so http.client
         # doesn't add a conflicting Content-Length): the blob split mid-way
         # into an explicit two-chunk wire shape.

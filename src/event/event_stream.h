@@ -67,14 +67,17 @@ class EventStream {
   void clear() { events_.clear(); }
   void reserve(std::size_t n) { events_.reserve(n); }
 
-  /// Appends an event; geometry bounds are enforced for UPDATE events.
+  /// Whether `e` lies inside the geometry: its timestep, and for an UPDATE
+  /// also its address.
+  bool in_geometry(const Event& e) const {
+    if (e.t >= geom_.timesteps) return false;
+    return e.op != Op::kUpdate || (e.ch < geom_.channels &&
+                                   e.x < geom_.width && e.y < geom_.height);
+  }
+
+  /// Appends an event; it must lie inside the geometry.
   void push(const Event& e) {
-    if (e.op == Op::kUpdate) {
-      SNE_EXPECTS(e.ch < geom_.channels);
-      SNE_EXPECTS(e.x < geom_.width);
-      SNE_EXPECTS(e.y < geom_.height);
-    }
-    SNE_EXPECTS(e.t < geom_.timesteps);
+    SNE_EXPECTS(in_geometry(e));
     events_.push_back(e);
   }
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -380,6 +381,191 @@ TEST(EventIo, RejectsTruncatedAndOverlongFiles) {
   rewrite(good);
   EXPECT_EQ(load_stream(path), s);
   std::remove(path.c_str());
+}
+
+// --- SNE1 decode: geometry checks and seeded mutation ------------------------
+
+/// Raw SNE1 blob from header words and beats, so tests can write headers and
+/// events encode_stream never would.
+std::string sne1_blob(std::uint32_t channels, std::uint32_t width,
+                      std::uint32_t height, std::uint32_t timesteps,
+                      const std::vector<Beat>& beats) {
+  std::string out;
+  const auto put = [&out](std::uint32_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  for (const std::uint32_t v :
+       {kStreamFileMagic, channels, width, height, timesteps,
+        static_cast<std::uint32_t>(beats.size())})
+    put(v);
+  for (const Beat b : beats) put(b);
+  return out;
+}
+
+EventStream decode(const std::string& blob) {
+  return decode_stream(blob.data(), blob.size());
+}
+
+TEST(EventIo, DecodeRoundTripsAnInGeometryStream) {
+  // Every op, the geometry's last timestep and its far corner.
+  EventStream s(StreamGeometry{3, 5, 7, 4});
+  s.push(Event::reset(0));
+  s.push_update(0, 2, 4, 6);
+  s.push(Event::fire(0));
+  s.push(Event{Op::kWeight, 1, 0, 0, 0});
+  s.push_update(3, 0, 0, 0);
+  s.push_update(3, 2, 4, 6);
+  s.push(Event::fire(3));
+  const EventStream r = decode(encode_stream(s));
+  EXPECT_EQ(r, s);
+  EXPECT_EQ(r.geometry().channels, 3);
+  EXPECT_EQ(r.geometry().width, 5);
+  EXPECT_EQ(r.geometry().height, 7);
+  EXPECT_EQ(r.geometry().timesteps, 4);
+}
+
+TEST(EventIo, DecodeRejectsAnUpdatePastTheTimesteps) {
+  EXPECT_THROW(decode(sne1_blob(1, 4, 4, 4, {pack(Event::update(4, 0, 0, 0))})),
+               ConfigError);
+  EXPECT_NO_THROW(decode(sne1_blob(1, 4, 4, 5, {pack(Event::update(4, 0, 0, 0))})));
+}
+
+TEST(EventIo, DecodeRejectsAMarkerPastTheTimesteps) {
+  EXPECT_THROW(decode(sne1_blob(1, 4, 4, 4, {pack(Event::fire(4))})),
+               ConfigError);
+  EXPECT_THROW(decode(sne1_blob(1, 4, 4, 4, {pack(Event::reset(200))})),
+               ConfigError);
+}
+
+TEST(EventIo, DecodeRejectsAnUpdateChannelOutsideTheGeometry) {
+  EXPECT_THROW(decode(sne1_blob(2, 4, 4, 4, {pack(Event::update(0, 2, 0, 0))})),
+               ConfigError);
+}
+
+TEST(EventIo, DecodeRejectsAnUpdateXOutsideTheGeometry) {
+  EXPECT_THROW(decode(sne1_blob(1, 4, 4, 4, {pack(Event::update(0, 0, 4, 0))})),
+               ConfigError);
+}
+
+TEST(EventIo, DecodeRejectsAnUpdateYOutsideTheGeometry) {
+  EXPECT_THROW(decode(sne1_blob(1, 4, 4, 4, {pack(Event::update(0, 0, 0, 4))})),
+               ConfigError);
+}
+
+TEST(EventIo, DecodeRejectsAZeroDimension) {
+  const std::vector<Beat> none;
+  EXPECT_THROW(decode(sne1_blob(0, 4, 4, 4, none)), ConfigError);
+  EXPECT_THROW(decode(sne1_blob(1, 0, 4, 4, none)), ConfigError);
+  EXPECT_THROW(decode(sne1_blob(1, 4, 0, 4, none)), ConfigError);
+  EXPECT_THROW(decode(sne1_blob(1, 4, 4, 0, none)), ConfigError);
+  EXPECT_NO_THROW(decode(sne1_blob(1, 1, 1, 1, none)));
+}
+
+TEST(EventIo, DecodeRejectsAHeaderWordTooWideForItsField) {
+  // 0x10001 would wrap to a 16-bit 1 and 0x101 to an 8-bit 1.
+  const std::vector<Beat> none;
+  EXPECT_THROW(decode(sne1_blob(0x10001, 4, 4, 4, none)), ConfigError);
+  EXPECT_THROW(decode(sne1_blob(1, 0x101, 4, 4, none)), ConfigError);
+  EXPECT_THROW(decode(sne1_blob(1, 4, 0x101, 4, none)), ConfigError);
+  EXPECT_THROW(decode(sne1_blob(1, 4, 4, 0x10001, none)), ConfigError);
+  EXPECT_NO_THROW(decode(sne1_blob(0xFFFF, 0xFF, 0xFF, 0xFFFF, none)));
+}
+
+TEST(EventIo, LoadStreamRejectsWhatDecodeRejects) {
+  const std::string path = "/tmp/sne_stream_geometry.bin";
+  {
+    const std::string blob =
+        sne1_blob(1, 4, 4, 4, {pack(Event::update(4, 0, 0, 0))});
+    std::ofstream f(path, std::ios::binary);
+    f.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  }
+  EXPECT_THROW(load_stream(path), ConfigError);
+  std::remove(path.c_str());
+}
+
+/// In-geometry stream of every op, timesteps in [0, steps), in random order.
+EventStream random_any_op_stream(StreamGeometry g, std::size_t n, Rng& rng) {
+  EventStream s(g);
+  for (std::size_t i = 0; i < n; ++i) {
+    Event e;
+    e.op = static_cast<Op>(rng.uniform_int(0, 3));
+    e.t = static_cast<std::uint16_t>(rng.uniform_int(0, g.timesteps - 1));
+    if (e.op == Op::kUpdate) {
+      e.ch = static_cast<std::uint16_t>(rng.uniform_int(0, g.channels - 1));
+      e.x = static_cast<std::uint8_t>(rng.uniform_int(0, g.width - 1));
+      e.y = static_cast<std::uint8_t>(rng.uniform_int(0, g.height - 1));
+    }
+    s.push(e);
+  }
+  return s;
+}
+
+TEST(EventIo, SeededMutationsDecodeCleanlyOrThrowConfigError) {
+  // Every mutated blob either throws ConfigError or decodes to a stream in
+  // normal form, inside its (nonzero) geometry, that survives an
+  // encode/decode round trip unchanged. Anything else (another exception, a
+  // sanitizer report) fails the test.
+  Rng rng(0x5E1);
+  std::vector<std::string> seeds;
+  for (const StreamGeometry g :
+       {StreamGeometry{1, 4, 4, 4}, StreamGeometry{2, 16, 16, 8},
+        StreamGeometry{3, 8, 5, 200}}) {
+    seeds.push_back(encode_stream(random_any_op_stream(g, 0, rng)));
+    seeds.push_back(encode_stream(random_any_op_stream(g, 40, rng)));
+  }
+  constexpr std::size_t kCountOffset = 5 * sizeof(std::uint32_t);
+  std::size_t accepted = 0, rejected = 0;
+  for (int i = 0; i < 6000; ++i) {
+    std::string blob = seeds[static_cast<std::size_t>(i) % seeds.size()];
+    const auto byte_at = [&] {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(blob.size()) - 1));
+    };
+    const int kind = i % 5;
+    if (kind == 0) {  // bit flips
+      for (auto k = rng.uniform_int(1, 3); k > 0; --k)
+        blob[byte_at()] ^= static_cast<char>(1u << rng.uniform_int(0, 7));
+    } else if (kind == 1) {  // byte overwrites
+      for (auto k = rng.uniform_int(1, 4); k > 0; --k)
+        blob[byte_at()] = static_cast<char>(rng.uniform_int(0, 255));
+    } else if (kind == 2) {  // truncation
+      blob.resize(byte_at());
+    } else if (kind == 3) {  // appended bytes
+      for (auto k = rng.uniform_int(1, 8); k > 0; --k)
+        blob.push_back(static_cast<char>(rng.uniform_int(0, 255)));
+    } else {  // count-field edit: off by a few words, or any value
+      std::uint32_t count = 0;
+      std::memcpy(&count, blob.data() + kCountOffset, sizeof count);
+      count = rng.bernoulli(0.5)
+                  ? count + static_cast<std::uint32_t>(rng.uniform_int(-3, 3))
+                  : static_cast<std::uint32_t>(rng.next());
+      std::memcpy(blob.data() + kCountOffset, &count, sizeof count);
+    }
+    EventStream s(StreamGeometry{});
+    try {
+      s = decode(blob);
+    } catch (const ConfigError&) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const StreamGeometry& g = s.geometry();
+    ASSERT_TRUE(g.channels > 0 && g.width > 0 && g.height > 0 &&
+                g.timesteps > 0)
+        << "mutation " << i;
+    ASSERT_TRUE(s.is_normalized()) << "mutation " << i;
+    for (const Event& e : s.events())
+      ASSERT_TRUE(s.in_geometry(e)) << "mutation " << i;
+    const EventStream again = decode(encode_stream(s));
+    ASSERT_EQ(again, s) << "mutation " << i;
+    ASSERT_EQ(again.geometry().channels, g.channels);
+    ASSERT_EQ(again.geometry().width, g.width);
+    ASSERT_EQ(again.geometry().height, g.height);
+    ASSERT_EQ(again.geometry().timesteps, g.timesteps);
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 }  // namespace

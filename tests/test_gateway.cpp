@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <optional>
@@ -125,7 +126,6 @@ struct Stack {
   static serve::ServeOptions serve_options() {
     serve::ServeOptions so;
     so.engines = 2;
-    so.memory_words = 1u << 20;
     return so;
   }
 
@@ -243,6 +243,60 @@ TEST(GatewayTest, SessionHorizonIsBoundedByTheEventClock) {
     ASSERT_EQ(r.status, 200) << "chunk " << i << ": " << r.body;
   }
   EXPECT_EQ(c.request("POST", "/v1/session/" + sid + "/close").status, 200);
+}
+
+TEST(GatewayTest, OutOfGeometryChunkIs400AndTheSessionCarriesOn) {
+  Stack stack;
+  const auto full = data::random_stream({1, 16, 16, 12}, 0.08, 79);
+  const auto chunks = split_chunks(full, 4);
+
+  std::vector<std::string> ref_bodies;
+  {
+    serve::SessionOptions sopts;
+    sopts.horizon_timesteps = 16;
+    auto s = stack.server->open_session("pipe", sopts);
+    for (const auto& chunk : chunks)
+      ref_bodies.push_back(event::encode_stream(s->feed(chunk).wait().final_output));
+    stack.server->close_session(s);
+  }
+
+  // A 4-step body with a spike at step 4: encoded under a 5-step geometry,
+  // then its header's timesteps word set to 4.
+  const auto spike_past_last_step = [](std::uint8_t size) {
+    event::EventStream wide({1, size, size, 5});
+    wide.push_update(4, 0, 3, 3);
+    std::string blob = event::encode_stream(wide);
+    const std::uint32_t four = 4;
+    std::memcpy(blob.data() + 4 * sizeof four, &four, sizeof four);
+    return blob;
+  };
+
+  net::HttpClient c = stack.connect();
+  // A one-shot infer with the same flaw is refused before it runs.
+  EXPECT_EQ(c.request("POST", "/v1/infer?model=tiny", {},
+                      spike_past_last_step(8))
+                .status,
+            400);
+
+  const net::ClientResponse open = c.request(
+      "POST", "/v1/session/open?model=pipe", {{"X-Sne-Horizon", "16"}});
+  ASSERT_EQ(open.status, 200) << open.body;
+  const std::string sid = open.body;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    if (i == 1) {
+      const net::ClientResponse r =
+          c.request("POST", "/v1/session/" + sid + "/feed", {},
+                    spike_past_last_step(16));
+      EXPECT_EQ(r.status, 400) << r.body;
+    }
+    const net::ClientResponse r =
+        c.request("POST", "/v1/session/" + sid + "/feed", {},
+                  event::encode_stream(chunks[i]));
+    ASSERT_EQ(r.status, 200) << "chunk " << i << ": " << r.body;
+    EXPECT_EQ(r.body, ref_bodies[i]) << "chunk " << i;
+  }
+  EXPECT_EQ(c.request("POST", "/v1/session/" + sid + "/close").status, 200);
+  EXPECT_EQ(stack.gateway->stats().responses_5xx, 0u);
 }
 
 // --- authentication ----------------------------------------------------------
