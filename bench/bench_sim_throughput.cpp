@@ -114,9 +114,9 @@ void BM_CycleAccurateLayer(benchmark::State& state) {
   core::SneConfig hw = core::SneConfig::paper_design_point(
       static_cast<std::uint32_t>(state.range(0)));
   hw.fast_forward = state.range(1) != 0;
-  // Engine construction (16 MB memory-model clear) is hoisted out of the
-  // timed loop: every run reprograms the slices and starts with an RST
-  // event, so reuse is state-equivalent and the loop measures simulation.
+  // Engine construction is hoisted out of the timed loop: every run
+  // reprograms the slices and starts with an RST event, so reuse is
+  // state-equivalent and the loop measures simulation.
   core::SneEngine engine(hw);
   ecnn::NetworkRunner runner(engine, /*use_wload_stream=*/false);
   ecnn::QuantizedNetwork net;
@@ -322,7 +322,6 @@ void BM_BatchedDataset(benchmark::State& state) {
 
   ecnn::BatchOptions opts;
   opts.workers = static_cast<unsigned>(state.range(0));
-  opts.memory_words = 1u << 20;
   ecnn::BatchRunner runner(core::SneConfig::paper_design_point(4), net, opts);
 
   std::uint64_t cycles = 0;

@@ -13,7 +13,7 @@ namespace sne::core {
 SneEngine::SneEngine(SneConfig cfg, std::size_t memory_words,
                      hwsim::MemoryTiming mem_timing)
     : cfg_(cfg),
-      mem_(memory_words, mem_timing),
+      mem_(mem_timing),
       in_dma_(mem_, cfg.dma_fifo_depth),
       collector_arb_(cfg.num_slices),
       routes_(XbarRoutes::time_multiplexed(cfg.num_slices)) {
@@ -23,11 +23,11 @@ SneEngine::SneEngine(SneConfig cfg, std::size_t memory_words,
   for (std::uint32_t i = 0; i < cfg_.num_slices; ++i)
     slices_.emplace_back(i, cfg_);
   for (std::uint32_t i = 0; i < cfg_.num_output_dmas; ++i)
-    out_dmas_.emplace_back(mem_, cfg_.dma_fifo_depth);
+    out_dmas_.emplace_back(cfg_.dma_fifo_depth);
   // Memory map: program in the lower half; the upper half is split into one
   // linear output region per output DMA.
-  out_region_base_ = memory_words / 2;
-  out_region_words_ = (memory_words - out_region_base_) / cfg_.num_output_dmas;
+  in_region_words_ = memory_words / 2;
+  out_region_words_ = (memory_words - in_region_words_) / cfg_.num_output_dmas;
   rebuild_route_index();
   resident_tags_.assign(cfg_.num_slices, 0);
   drain_parts_.resize(cfg_.num_slices);
@@ -72,7 +72,7 @@ void SneEngine::scrub_programming() {
 
 SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
                                     const RunOptions& opts) {
-  if (program.size() > out_region_base_)
+  if (program.size() > in_region_words_)
     throw ConfigError("program does not fit the input memory region");
   for (auto d : routes_.input_dest)
     if (!slice(d).configured())
@@ -124,11 +124,8 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
     mem_.begin_stream(key);
   }
 
-  mem_.load(0, program);
-  in_dma_.start(0, program.size());
-  for (std::uint32_t i = 0; i < out_dmas_.size(); ++i)
-    out_dmas_[i].start(out_region_base_ + i * out_region_words_,
-                       out_region_words_);
+  in_dma_.start(program);
+  for (auto& dma : out_dmas_) dma.start(out_region_words_);
 
   hwsim::ActivityCounters c;
   // Replay profiling (one relaxed atomic load when disarmed — the whole
@@ -207,12 +204,10 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
   r.sim_time_us = static_cast<double>(c.cycles) * cfg_.cycle_ns() * 1e-3;
   if (prof_) r.profile = std::move(profile);
   if (opts.materialize_output) {
+    // The output image is the DMA regions in DMA order.
     std::vector<event::Beat> beats;
-    for (std::uint32_t i = 0; i < out_dmas_.size(); ++i) {
-      const auto part = mem_.dump(out_region_base_ + i * out_region_words_,
-                                  out_dmas_[i].written());
-      beats.insert(beats.end(), part.begin(), part.end());
-    }
+    for (const auto& dma : out_dmas_)
+      beats.insert(beats.end(), dma.region().begin(), dma.region().end());
     // The image is out of normal form in two ways. Every slice on a
     // broadcast forwards its own RST/FIRE marker once its scan's spikes are
     // collected (Slice::tick_drain), and the collector interleaves those
@@ -823,7 +818,7 @@ std::uint64_t SneEngine::drain_bulk_span(hwsim::ActivityCounters& c,
   }
   if (span == 0) return 0;
 
-  // Commit: memory image in one burst per DMA, everything else in bulk.
+  // Commit: output regions in one burst per DMA, everything else in bulk.
   std::uint64_t writes_total = 0;
   for (std::size_t d = 0; d < out_dmas_.size(); ++d) {
     DmaReplay& r = drain_dmas_[d];

@@ -1,9 +1,9 @@
 // SNE top level (paper Fig. 2): slices + C-XBAR + streamers + collector +
 // memory-mapped register interface, driven cycle by cycle until quiescence.
 //
-// The engine is the public entry point of the cycle-accurate model: load a
-// 32-bit program (WLOAD/RST/UPDATE/FIRE beats) into external memory, point
-// the input streamer at it, and run. Events flow
+// The engine is the public entry point of the cycle-accurate model: hand it
+// a 32-bit program (WLOAD/RST/UPDATE/FIRE beats), which the input streamer
+// streams from its memory region, and run. Events flow
 //
 //   memory -> input DMA -> C-XBAR -> slice(s) -> collector -> output DMA
 //                                        `-> next slice (pipeline mode)
@@ -32,10 +32,9 @@ namespace sne::core {
 struct RunOptions {
   std::uint64_t max_cycles = 2'000'000'000ull;  ///< livelock guard
   event::StreamGeometry out_geometry{};  ///< stamped on the output stream
-  /// Build RunResult::output from the written memory regions. Counter-only
-  /// sweeps (energy ablations, throughput benches) can turn this off to
-  /// skip the dump/decode/normalize pass; cycles and counters are
-  /// unaffected and the events remain in engine memory.
+  /// Build RunResult::output from the output regions. Counter-only sweeps
+  /// (energy ablations, throughput benches) can turn this off to skip
+  /// building the output stream; cycles and counters are unaffected.
   bool materialize_output = true;
 };
 
@@ -63,11 +62,17 @@ class SneEngine {
   using RunOptions = core::RunOptions;
   using RunResult = core::RunResult;
 
-  explicit SneEngine(SneConfig cfg, std::size_t memory_words = (1u << 22),
+  static constexpr std::size_t kDefaultMemoryWords = std::size_t{1} << 22;
+
+  /// `memory_words` is the capacity of the memory the DMAs address: the
+  /// input region holds memory_words / 2 words and each output DMA's region
+  /// an equal share of the rest. The streamers grow their regions as runs
+  /// fill them; nothing is allocated up front.
+  explicit SneEngine(SneConfig cfg,
+                     std::size_t memory_words = kDefaultMemoryWords,
                      hwsim::MemoryTiming mem_timing = {});
 
   const SneConfig& config() const { return cfg_; }
-  hwsim::MemoryModel& memory() { return mem_; }
 
   Slice& slice(std::uint32_t i) {
     SNE_EXPECTS(i < slices_.size());
@@ -98,14 +103,10 @@ class SneEngine {
   /// deconfigured and wiped, DMA FIFOs cleared, arbitration pointers rewound,
   /// routes back to the time-multiplexed default and the lifetime counters
   /// zeroed. The contention-stall RNG needs no rewind: every stalled run
-  /// reseeds it from the program's content key. Memory *contents* are not
-  /// scrubbed — every run loads its own program image and dumps only the
-  /// words it wrote, so stale words are unobservable. After
-  /// reset() all subsequent runs are bitwise identical to the same runs on a
-  /// new engine; the serving engine pool relies on this to reuse engines
-  /// across requests instead of paying construction (the dominant cost: the
-  /// memory model's multi-MB zero-fill) per sample. Equivalent to
-  /// reset_machine_state() followed by scrub_programming().
+  /// reseeds it from the program's content key. After reset() all
+  /// subsequent runs are bitwise identical to the same runs on a new engine;
+  /// the engine pool relies on this to reuse engines across requests.
+  /// Equivalent to reset_machine_state() followed by scrub_programming().
   void reset();
 
   /// Machine-state half of reset(): wipes run state (slice dynamics, DMA
@@ -147,7 +148,7 @@ class SneEngine {
     resident_tags_[i] = tag;
   }
 
-  /// Loads `program` into external memory and executes it to quiescence.
+  /// Streams `program` into the machine and executes it to quiescence.
   RunResult run(const std::vector<event::Beat>& program,
                 const RunOptions& opts = RunOptions{});
 
@@ -266,8 +267,8 @@ class SneEngine {
   /// Per-slice residency tag of the programming the slice holds (0 = none);
   /// survives reset_machine_state(), dropped by scrub_programming().
   std::vector<std::uint64_t> resident_tags_;
-  std::size_t out_region_base_ = 0;
-  std::size_t out_region_words_ = 0;
+  std::size_t in_region_words_ = 0;   ///< input region capacity
+  std::size_t out_region_words_ = 0;  ///< capacity of each output region
 
   // Route index (rebuilt by rebuild_route_index).
   std::vector<std::uint32_t> mem_slices_;  ///< slices routed kToMemory

@@ -5,9 +5,12 @@
 // cycles" (paper section III-D.2).
 //
 // Both directions implement a simple 1-D movement scheme over 32-bit words.
+// hwsim::MemoryModel supplies the read timing; each streamer holds the words
+// of its own memory region.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/contracts.h"
 #include "core/config.h"
@@ -18,19 +21,19 @@
 
 namespace sne::core {
 
-/// Memory -> stream direction.
+/// Memory -> stream direction. The streamer holds the input region: start()
+/// copies the run's program into a buffer it keeps across runs, so nothing it
+/// reads points into the caller's program.
 class InputStreamer {
  public:
   InputStreamer(hwsim::MemoryModel& mem, std::uint32_t fifo_depth)
       : mem_(&mem), fifo_(fifo_depth) {}
 
-  /// Programs a 1-D transfer of `count` words starting at `base`.
-  void start(std::size_t base, std::size_t count) {
-    SNE_EXPECTS(base + count <= mem_->size());
-    base_ = base;
-    remaining_ = count;
+  /// Programs a 1-D transfer of `program`, first word first.
+  void start(const std::vector<event::Beat>& program) {
+    words_.assign(program.begin(), program.end());
     cursor_ = 0;
-    wait_ = remaining_ > 0 ? mem_->next_word_delay(/*first_of_burst=*/true) : 0;
+    wait_ = words_.empty() ? 0 : mem_->next_word_delay(/*first_of_burst=*/true);
   }
 
   /// Restores the freshly-constructed state (engine reset path), including
@@ -38,13 +41,12 @@ class InputStreamer {
   /// already equivalent; this also covers aborted transfers.
   void reset() {
     fifo_.reset();
-    base_ = 0;
+    words_.clear();
     cursor_ = 0;
-    remaining_ = 0;
     wait_ = 0;
   }
 
-  bool transfer_done() const { return remaining_ == 0; }
+  bool transfer_done() const { return cursor_ == words_.size(); }
   bool fully_drained() const { return transfer_done() && fifo_.empty(); }
   hwsim::Fifo<event::Beat>& fifo() { return fifo_; }
   const hwsim::Fifo<event::Beat>& fifo() const { return fifo_; }
@@ -52,20 +54,18 @@ class InputStreamer {
   /// One clock cycle: fetches at most one word from memory into the FIFO,
   /// honouring access latency and backpressure.
   void tick(hwsim::ActivityCounters& c) {
-    if (remaining_ == 0) return;
+    if (transfer_done()) return;
     if (wait_ > 1) {
       --wait_;
       return;
     }
     if (fifo_.full()) return;  // backpressure: hold the burst
-    const event::Beat b = mem_->read_word(base_ + cursor_);
-    const bool ok = fifo_.try_push(b);
+    const bool ok = fifo_.try_push(words_[cursor_]);
     SNE_ASSERT(ok);
     c.fifo_pushes++;
     c.dma_read_beats++;
     ++cursor_;
-    --remaining_;
-    wait_ = remaining_ > 0 ? mem_->next_word_delay(/*first_of_burst=*/false) : 0;
+    wait_ = transfer_done() ? 0 : mem_->next_word_delay(/*first_of_burst=*/false);
   }
 
   /// Cycles until this streamer's next self-timed observable action (a word
@@ -73,7 +73,7 @@ class InputStreamer {
   /// when the transfer is done / blocked on FIFO backpressure (the unblocking
   /// pop is another component's activity and bounds the jump instead).
   std::uint64_t next_activity_delta() const {
-    if (remaining_ == 0) return kNeverActive;
+    if (transfer_done()) return kNeverActive;
     if (wait_ > 1) return wait_;
     return fifo_.full() ? kNeverActive : 1;
   }
@@ -83,7 +83,7 @@ class InputStreamer {
   /// skipped over; a blocked or drained streamer is unaffected (its tick is
   /// a no-op in those states).
   void skip_cycles(std::uint64_t cycles) {
-    if (remaining_ == 0 || wait_ <= 1) return;
+    if (transfer_done() || wait_ <= 1) return;
     SNE_ASSERT(cycles <= wait_ - 1);
     wait_ -= static_cast<std::uint32_t>(cycles);
   }
@@ -91,76 +91,66 @@ class InputStreamer {
  private:
   hwsim::MemoryModel* mem_;
   hwsim::Fifo<event::Beat> fifo_;
-  std::size_t base_ = 0;
+  std::vector<event::Beat> words_;  ///< the input region: this run's program
   std::size_t cursor_ = 0;
-  std::size_t remaining_ = 0;
   std::uint32_t wait_ = 0;
 };
 
-/// Stream -> memory direction.
+/// Stream -> memory direction. The streamer holds its output region: a
+/// buffer it keeps across runs, which start() empties.
 class OutputStreamer {
  public:
-  OutputStreamer(hwsim::MemoryModel& mem, std::uint32_t fifo_depth)
-      : mem_(&mem), fifo_(fifo_depth) {}
+  explicit OutputStreamer(std::uint32_t fifo_depth) : fifo_(fifo_depth) {}
 
-  /// Programs the linear destination region.
-  void start(std::size_t base, std::size_t capacity) {
-    SNE_EXPECTS(base + capacity <= mem_->size());
-    base_ = base;
+  /// Programs the linear destination region of `capacity` words.
+  void start(std::size_t capacity) {
     capacity_ = capacity;
-    written_ = 0;
+    region_.clear();
   }
 
   hwsim::Fifo<event::Beat>& fifo() { return fifo_; }
   const hwsim::Fifo<event::Beat>& fifo() const { return fifo_; }
-  std::size_t written() const { return written_; }
-  bool drained() const { return fifo_.empty(); }
+  /// The words written since start(), in write order.
+  const std::vector<event::Beat>& region() const { return region_; }
 
   /// Restores the freshly-constructed state (engine reset path), including
   /// the FIFO occupancy statistics.
   void reset() {
     fifo_.reset();
-    base_ = 0;
     capacity_ = 0;
-    written_ = 0;
+    region_.clear();
   }
 
   /// One clock cycle: writes at most one word to memory (posted writes; the
   /// write latency is hidden behind the FIFO, as in the RTL).
   void tick(hwsim::ActivityCounters& c) {
     if (fifo_.empty()) return;
-    if (written_ >= capacity_)
+    if (region_.size() >= capacity_)
       throw ConfigError("output stream overflowed its memory region");
-    mem_->write_word(base_ + written_, fifo_.pop());
+    region_.push_back(fifo_.pop());
     c.fifo_pops++;
     c.dma_write_beats++;
-    ++written_;
   }
 
   /// Batched drain replay: commits `n` words the replay already popped from
-  /// the FIFO model. Memory contents, write cursor and the dma beat charges
-  /// are identical to n tick()s that popped these words; the FIFO-side pop
-  /// statistics are reconciled separately by the replay, which also proved
-  /// the words fit the region.
+  /// the FIFO model. Region contents and the dma beat charges are identical
+  /// to n tick()s that popped these words; the FIFO-side pop statistics are
+  /// reconciled separately by the replay, which also proved the words fit
+  /// the region.
   void write_burst(const event::Beat* beats, std::size_t n,
                    hwsim::ActivityCounters& c) {
-    SNE_EXPECTS(written_ + n <= capacity_);
-    mem_->write_burst(base_ + written_, beats, n);
+    SNE_EXPECTS(region_.size() + n <= capacity_);
+    region_.insert(region_.end(), beats, beats + n);
     c.dma_write_beats += n;
-    written_ += n;
   }
 
   /// Words left in the output region (bounds a replayed span's writes).
-  std::size_t region_space() const {
-    return capacity_ > written_ ? capacity_ - written_ : 0;
-  }
+  std::size_t region_space() const { return capacity_ - region_.size(); }
 
  private:
-  hwsim::MemoryModel* mem_;
   hwsim::Fifo<event::Beat> fifo_;
-  std::size_t base_ = 0;
   std::size_t capacity_ = 0;
-  std::size_t written_ = 0;
+  std::vector<event::Beat> region_;
 };
 
 }  // namespace sne::core

@@ -37,9 +37,9 @@ std::vector<NetworkRunStats> BatchRunner::run(
   Ctx ctx{this, &inputs, &results};
   const ThreadPool::TaskFn task = [](void* p, std::size_t k) {
     Ctx& c = *static_cast<Ctx*>(p);
-    // Pooled-reuse path: one resident engine per in-flight slot instead of
-    // a construction (multi-MB memory clear) per sample; reset-on-release
-    // keeps this bitwise equal to the fresh-engine run_one reference.
+    // Pooled-reuse path: one resident engine per in-flight slot;
+    // reset-on-release keeps this bitwise equal to the fresh-engine run_one
+    // reference.
     EnginePool::Lease lease = c.self->engines_->acquire();
     (*c.results)[k] = lease.runner().run(c.self->net_, (*c.inputs)[k],
                                          event::FirePolicy::kActiveStepsOnly);

@@ -8,8 +8,9 @@
 //
 // Engine reuse: run() leases engines from an ecnn::EnginePool (one engine
 // per in-flight slot, grown on demand and kept across run() calls) instead
-// of constructing one per sample — construction is dominated by the
-// memory model's multi-MB zero-fill, which used to be paid per sample.
+// of building one per sample. A build costs only tens of microseconds, but
+// a pooled engine keeps its slice arrays and DMA region buffers allocated,
+// and a fresh engine per sample measured slower on the gesture workload.
 // run_one() keeps the fresh-engine path as the reference semantics.
 //
 // Determinism: a released engine is machine-reset to the freshly-constructed
@@ -39,7 +40,8 @@ struct BatchOptions {
   /// (pool workers + the calling thread).
   unsigned workers = 0;
   bool use_wload_stream = false;           ///< see NetworkRunner
-  std::size_t memory_words = (1u << 22);   ///< per-engine external memory
+  /// Per-engine memory capacity (see core::SneEngine).
+  std::size_t memory_words = core::SneEngine::kDefaultMemoryWords;
   hwsim::MemoryTiming mem_timing{};        ///< per-engine memory timing
 };
 

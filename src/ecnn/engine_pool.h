@@ -1,14 +1,12 @@
 // EnginePool: resident, reusable cycle-accurate engines for serving and
 // batched simulation.
 //
-// Constructing an SneEngine is the expensive part of a request: the external
-// memory model alone is a multi-MB zero-fill (16 MB at the default 2^22
-// words), dwarfing the simulation of a small sample. The pool keeps engines
-// (plus their NetworkRunner front-ends) alive across requests and hands them
-// out as RAII leases; on release the engine is machine-reset — restoring the
-// freshly-constructed machine state — so a leased engine produces
-// bitwise-identical results to a brand-new one for cold runs (test_serve
-// pins this for any lease interleaving).
+// The pool keeps engines (plus their NetworkRunner front-ends) alive across
+// requests and hands them out as RAII leases, so a same-model lease finds
+// the model's weights still resident (below). On release the engine is
+// machine-reset — restoring the freshly-constructed machine state — so a
+// leased engine produces bitwise-identical results to a brand-new one for
+// cold runs (test_serve pins this for any lease interleaving).
 //
 // Weight residency: by default the release path keeps each engine's slice
 // programming (configuration + weight stores + residency tags) resident,
@@ -18,9 +16,10 @@
 // residency tags guarantee correctness even when the affinity guess is
 // wrong). Cold runs reprogram every pass and cannot observe the difference.
 //
-// The pool grows on demand up to `max_engines` (0 = unbounded); engines are
-// constructed outside the pool lock so concurrent first-touch acquires do
-// not serialize their memory-model clears. There is one lease kind: a
+// The pool grows on demand up to `max_engines` (0 = unbounded); building an
+// engine takes tens of microseconds, so it happens under the pool lock.
+// Pools hold one engine per dispatch worker or lane, so acquire() picks a
+// free engine by one scan over them. There is one lease kind: a
 // streaming session leases an engine per chunk like any one-shot request
 // and restores its neuron-state snapshot onto it (serve/session.h).
 //
@@ -39,7 +38,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
@@ -51,7 +49,8 @@
 namespace sne::ecnn {
 
 struct EnginePoolOptions {
-  std::size_t memory_words = (1u << 22);  ///< per-engine external memory
+  /// Per-engine memory capacity (see core::SneEngine).
+  std::size_t memory_words = core::SneEngine::kDefaultMemoryWords;
   hwsim::MemoryTiming mem_timing{};       ///< per-engine memory timing
   bool use_wload_stream = false;          ///< see ecnn::NetworkRunner
   /// Cap on leases out at once (acquire() blocks when that many are out and
@@ -71,10 +70,8 @@ class EnginePool {
     /// the acquire-time affinity hint. Correctness never depends on it —
     /// the engine's per-slice residency tags are the ground truth.
     std::uint64_t model_tag = 0;
-    /// Free-index bookkeeping (guarded by the pool mutex): whether the entry
-    /// currently sits in the free index, and the epoch of its latest release.
-    /// Index records carry the epoch they were pushed with; a record whose
-    /// epoch no longer matches is stale and is dropped lazily on pop.
+    /// Guarded by the pool mutex: whether the entry is free, and the epoch
+    /// of its latest release (a higher epoch is a newer release).
     bool is_free = false;
     std::uint64_t free_seq = 0;
   };
@@ -126,12 +123,14 @@ class EnginePool {
     bool poisoned_ = false;
   };
 
-  /// Blocks until an engine is free (or can be constructed under the cap).
+  /// Blocks until an engine is free (or can be built under the cap).
   /// `model_tag` (e.g. ecnn::model_fingerprint of the model about to run;
   /// 0 = no affinity) steers the lease onto a free engine that last served
   /// the same model, preferring in order: same tag, never-tagged, any —
   /// so one hot model does not evict another's resident weights when a
-  /// blank engine is available.
+  /// blank engine is available. Within each level the most recently
+  /// released engine wins; an untagged acquire takes the most recently
+  /// released free engine.
   Lease acquire(std::uint64_t model_tag = 0) {
     obs::ScopedSpan span("ecnn.pool.lease", model_tag);
     return Lease(this, acquire_entry(model_tag), model_tag);
@@ -149,28 +148,12 @@ class EnginePool {
   const core::SneConfig& hw() const { return hw_; }
 
  private:
-  /// A claim on a free entry at a given release epoch. Records are pushed on
-  /// release and invalidated implicitly (entry leased out, or released again
-  /// under a different epoch) rather than being hunted down across buckets;
-  /// pop_valid() discards stale records as it meets them, so each record is
-  /// examined at most once over its lifetime — acquire stays amortized O(1)
-  /// regardless of pool size, where the old linear free-list scan was O(free)
-  /// per tagged acquire.
-  struct FreeRef {
-    Entry* e = nullptr;
-    std::uint64_t seq = 0;
-  };
-
   Entry* acquire_entry(std::uint64_t model_tag);
   void release_entry(Entry* entry, std::uint64_t model_tag, bool poisoned);
   void discard_entry(Entry* entry);
   std::unique_ptr<Entry> build_entry() const;
-  /// Enters `e` into the free index under its current model_tag (pool mutex
-  /// held by the caller).
-  void push_free(Entry* e);
-  /// Pops the newest still-valid record off `stack` (dropping stale ones),
-  /// claiming the entry; nullptr when the stack holds no valid record.
-  static Entry* pop_valid(std::vector<FreeRef>& stack);
+  /// Marks `e` free as the newest release (pool mutex held by the caller).
+  void mark_free(Entry& e);
 
   core::SneConfig hw_;
   EnginePoolOptions opts_;
@@ -178,16 +161,7 @@ class EnginePool {
   mutable std::mutex m_;
   std::condition_variable cv_;
   std::vector<std::unique_ptr<Entry>> entries_;  ///< stable addresses
-  /// Free index: per-tag stacks (newest on top; tag 0 is the never-tagged /
-  /// blank bucket) plus one stack over all free entries. An entry appears in
-  /// exactly one tag bucket and in free_any_ per release; staleness is lazy
-  /// (see FreeRef). free_count_ is the number of genuinely free entries —
-  /// the stacks may be longer than that transiently.
-  std::unordered_map<std::uint64_t, std::vector<FreeRef>> free_by_tag_;
-  std::vector<FreeRef> free_any_;
-  std::uint64_t free_epoch_ = 0;
-  std::size_t free_count_ = 0;
-  unsigned building_ = 0;  ///< constructions in flight outside the lock
+  std::uint64_t free_epoch_ = 0;  ///< release epochs handed out so far
   std::uint64_t leases_ = 0;
   std::uint64_t warm_leases_ = 0;
   std::uint64_t quarantined_ = 0;

@@ -3,13 +3,14 @@
 // SNE's streamers read/write events linearly from main memory (paper
 // section III-D.2); the DMA's 16-word FIFO exists "to absorb memory latency
 // cycles (e.g., due to access contention)". This model provides exactly the
-// behaviour those words imply: a flat 32-bit word store with a fixed access
-// latency, streaming throughput of one word per cycle once a burst is
-// running, and optional randomized contention stalls for robustness tests.
+// behaviour those words imply: a fixed first-word access latency, streaming
+// throughput of one word per cycle once a burst is running, and optional
+// randomized contention stalls for robustness tests. It models timing only:
+// the words themselves live in the streamers (core/streamer.h), which are
+// the memory's only readers and writers.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/contracts.h"
 #include "common/rng.h"
@@ -22,12 +23,11 @@ struct MemoryTiming {
   std::uint32_t stall_cycles = 8;     ///< extra cycles when a stall hits
 };
 
-/// Flat word-addressable memory with a single streaming port.
+/// Timing of a single streaming memory port.
 class MemoryModel {
  public:
-  explicit MemoryModel(std::size_t words, MemoryTiming timing = {},
-                       std::uint64_t seed = 1)
-      : words_(words, 0), timing_(timing), seed_(seed), rng_(seed) {
+  explicit MemoryModel(MemoryTiming timing = {}, std::uint64_t seed = 1)
+      : timing_(timing), seed_(seed), rng_(seed) {
     SNE_EXPECTS(timing.latency_cycles >= 1);
   }
 
@@ -44,38 +44,6 @@ class MemoryModel {
     rng_ = Rng(seed_ ^ (key * 0xD1B54A32D192ED03ull));
   }
 
-  std::size_t size() const { return words_.size(); }
-
-  std::uint32_t read_word(std::size_t addr) const {
-    SNE_EXPECTS(addr < words_.size());
-    return words_[addr];
-  }
-
-  void write_word(std::size_t addr, std::uint32_t value) {
-    SNE_EXPECTS(addr < words_.size());
-    words_[addr] = value;
-  }
-
-  /// Bulk store starting at `base` (host-side convenience for test setup).
-  void load(std::size_t base, const std::vector<std::uint32_t>& data) {
-    SNE_EXPECTS(base + data.size() <= words_.size());
-    std::copy(data.begin(), data.end(), words_.begin() + static_cast<long>(base));
-  }
-
-  /// Bulk streaming store (batched drain replay): identical contents to n
-  /// successive write_word calls.
-  void write_burst(std::size_t base, const std::uint32_t* words,
-                   std::size_t n) {
-    SNE_EXPECTS(base + n <= words_.size());
-    std::copy(words, words + n, words_.begin() + static_cast<long>(base));
-  }
-
-  std::vector<std::uint32_t> dump(std::size_t base, std::size_t count) const {
-    SNE_EXPECTS(base + count <= words_.size());
-    return {words_.begin() + static_cast<long>(base),
-            words_.begin() + static_cast<long>(base + count)};
-  }
-
   /// Cycles until the *next* sequential word of a running burst is available.
   /// Returns `latency` for the first word of a burst, 1 afterwards, plus a
   /// randomized contention stall when configured.
@@ -89,7 +57,6 @@ class MemoryModel {
   const MemoryTiming& timing() const { return timing_; }
 
  private:
-  std::vector<std::uint32_t> words_;
   MemoryTiming timing_;
   std::uint64_t seed_;
   Rng rng_;

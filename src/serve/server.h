@@ -89,7 +89,7 @@ struct ServeOptions {
   /// programming counters included).
   bool warm_weights = true;
   bool use_wload_stream = false;
-  std::size_t memory_words = (1u << 22);
+  std::size_t memory_words = core::SneEngine::kDefaultMemoryWords;
   hwsim::MemoryTiming mem_timing{};
   /// Fault tolerance: how many times a request whose dispatch threw is
   /// retried on a freshly acquired engine before its ticket fails. The

@@ -71,7 +71,7 @@ QuantizedLayerSpec fc_layer(std::uint16_t in_ch, std::uint16_t size,
 NetworkRunStats run_network(SneConfig hw, bool fast, const QuantizedNetwork& net,
                             const event::EventStream& input) {
   hw.fast_forward = fast;
-  SneEngine engine(hw, 1u << 20);
+  SneEngine engine(hw);
   NetworkRunner runner(engine, /*use_wload_stream=*/false);
   return runner.run(net, input);
 }
@@ -95,7 +95,7 @@ void expect_equivalent(const NetworkRunStats& ref, const NetworkRunStats& fast) 
 /// and drain_batching as given), on a fresh engine.
 NetworkRunStats run_network_cfg(const SneConfig& hw, const QuantizedNetwork& net,
                                 const event::EventStream& input,
-                                std::size_t memory_words = 1u << 20) {
+                                std::size_t memory_words = SneEngine::kDefaultMemoryWords) {
   SneEngine engine(hw, memory_words);
   NetworkRunner runner(engine, /*use_wload_stream=*/false);
   return runner.run(net, input);
@@ -106,7 +106,7 @@ NetworkRunStats run_network_cfg(const SneConfig& hw, const QuantizedNetwork& net
 /// reference run, for checks that the scenario exercises what it claims.
 NetworkRunStats expect_drain_equivalent(SneConfig hw, const QuantizedNetwork& net,
                                         const event::EventStream& input,
-                                        std::size_t memory_words = 1u << 20) {
+                                        std::size_t memory_words = SneEngine::kDefaultMemoryWords) {
   hw.fast_forward = false;
   hw.drain_batching = false;
   const auto ref = run_network_cfg(hw, net, input, memory_words);
@@ -173,7 +173,7 @@ TEST(FastForwardEquivalence, MultiSlicePipeline) {
   for (bool fast : {false, true}) {
     SneConfig hw = SneConfig::paper_design_point(2);
     hw.fast_forward = fast;
-    SneEngine engine(hw, 1u << 20);
+    SneEngine engine(hw);
     const auto geom = ecnn::build_pipeline(engine, net, in.geometry().timesteps);
     core::RunOptions opts;
     opts.out_geometry = geom;
@@ -259,7 +259,7 @@ TEST(FastForwardEquivalence, RandomMemoryStalls) {
   for (bool fast : {false, true}) {
     SneConfig hw = SneConfig::paper_design_point(2);
     hw.fast_forward = fast;
-    SneEngine engine(hw, 1u << 20, timing);
+    SneEngine engine(hw, SneEngine::kDefaultMemoryWords, timing);
     NetworkRunner runner(engine, /*use_wload_stream=*/false);
     stats[k++] = runner.run(net, in);
   }
@@ -279,7 +279,7 @@ TEST(FastForwardEquivalence, EngineReuseAcrossRuns) {
   for (bool fast : {false, true}) {
     SneConfig hw = SneConfig::paper_design_point(1);
     hw.fast_forward = fast;
-    SneEngine engine(hw, 1u << 20);
+    SneEngine engine(hw);
     NetworkRunner runner(engine, /*use_wload_stream=*/false);
     a[k] = runner.run(net, in_a);
     b[k] = runner.run(net, in_b);  // same engine, second dataset
@@ -311,7 +311,7 @@ TEST(FastForwardEquivalence, WloadStreamProgramming) {
     int k = 0;
     for (bool fast : {false, true}) {
       hw.fast_forward = fast;
-      SneEngine engine(hw, 1u << 20);
+      SneEngine engine(hw);
       NetworkRunner runner(engine, /*use_wload_stream=*/true);
       stats[k++] = runner.run(net, in);
     }
@@ -338,7 +338,7 @@ TEST(FastForwardEquivalence, RunAfterThrowDrainsStrandedSlices) {
   for (bool fast : {false, true}) {
     SneConfig hw = SneConfig::paper_design_point(4);
     hw.fast_forward = fast;
-    SneEngine engine(hw, 1u << 20);
+    SneEngine engine(hw);
     NetworkRunner runner(engine, /*use_wload_stream=*/false);
     runner.run(net, in);  // programs slices 0-3 and routes input to all four
     core::RunOptions cut;
@@ -447,7 +447,7 @@ TEST(DrainEquivalence, PipelineBackpressureDuringDrain) {
     hw.drain_batching = mode > 1;
     hw.slice_in_fifo_depth = 1;
     hw.slice_out_fifo_depth = 2;
-    SneEngine engine(hw, 1u << 20);
+    SneEngine engine(hw);
     const auto geom = ecnn::build_pipeline(engine, net, in.geometry().timesteps);
     core::RunOptions opts;
     opts.out_geometry = geom;
@@ -490,7 +490,7 @@ TEST(DrainEquivalence, PipeRoutedBulkDrainHostsDecodeBoundaries) {
     SneConfig hw = SneConfig::paper_design_point(2);
     hw.fast_forward = mode > 0;
     hw.drain_batching = mode > 1;
-    SneEngine engine(hw, 1u << 20);
+    SneEngine engine(hw);
     const auto geom = ecnn::build_pipeline(engine, net, in.geometry().timesteps);
     core::RunOptions opts;
     opts.out_geometry = geom;
@@ -618,7 +618,6 @@ TEST(BatchRunnerTest, DeterministicAcrossWorkerCounts) {
 
   const SneConfig hw = SneConfig::paper_design_point(2);
   ecnn::BatchOptions base;
-  base.memory_words = 1u << 20;
 
   std::vector<std::vector<NetworkRunStats>> all;
   for (unsigned workers : {1u, 2u, 3u}) {
@@ -648,14 +647,13 @@ TEST(BatchRunnerTest, MatchesSerialNetworkRunner) {
 
   const SneConfig hw = SneConfig::paper_design_point(2);
   ecnn::BatchOptions o;
-  o.memory_words = 1u << 20;
   o.workers = 2;
   ecnn::BatchRunner batch(hw, net, o);
   const auto batched = batch.run(inputs);
 
   // Serial reference: one engine reused across samples, as dataset loops
   // have always done.
-  SneEngine engine(hw, 1u << 20);
+  SneEngine engine(hw);
   NetworkRunner runner(engine, /*use_wload_stream=*/false);
   ASSERT_EQ(batched.size(), inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -672,7 +670,6 @@ TEST(BatchRunnerTest, PropagatesTaskExceptions) {
   net.layers.push_back(conv_layer(1, 16, 2, 5, 73));
   const SneConfig hw = SneConfig::paper_design_point(1);
   ecnn::BatchOptions o;
-  o.memory_words = 1u << 20;
   o.workers = 2;
   ecnn::BatchRunner runner(hw, net, o);
   // An output map wider than the event address space makes Slice::configure

@@ -250,7 +250,6 @@ TEST(TicketTest, WaitForReportsInFlightVersusReady) {
   registry.put("m", three_layer_net());
   serve::ServeOptions so;
   so.engines = 1;
-  so.memory_words = 1u << 20;
   so.warm_weights = false;
   serve::InferenceServer server(registry, SneConfig::paper_design_point(2), so);
   // Stall the dispatch 80 ms: the ticket is observably in flight long
@@ -271,8 +270,9 @@ TEST(TicketTest, WaitForReportsInFlightVersusReady) {
 
 TEST(QuarantineTest, PoisonedEngineIsDiscardedAndReplacedWithoutDeadlock) {
   const SneConfig hw = SneConfig::paper_design_point(2);
-  ecnn::EnginePool pool(
-      hw, 1, ecnn::EnginePoolOptions{1u << 20, {}, false, /*max_engines=*/1});
+  ecnn::EnginePoolOptions po;
+  po.max_engines = 1;
+  ecnn::EnginePool pool(hw, 1, po);
   {
     ecnn::EnginePool::Lease lease = pool.acquire();
     lease.poison();
@@ -292,8 +292,9 @@ TEST(QuarantineTest, ReleaseFaultQuarantinesInsteadOfThrowing) {
   // ecnn.pool.release fires on a noexcept path (~Lease): the pool must eat
   // the failure by quarantining, never by throwing through a destructor.
   const SneConfig hw = SneConfig::paper_design_point(2);
-  ecnn::EnginePool pool(
-      hw, 1, ecnn::EnginePoolOptions{1u << 20, {}, false, /*max_engines=*/1});
+  ecnn::EnginePoolOptions po;
+  po.max_engines = 1;
+  ecnn::EnginePool pool(hw, 1, po);
   ScopedFaults chaos(hits_on("ecnn.pool.release", {1}));
   EXPECT_NO_THROW({ ecnn::EnginePool::Lease lease = pool.acquire(); });
   const ecnn::EnginePool::Stats ps = pool.stats();
@@ -304,8 +305,9 @@ TEST(QuarantineTest, ReleaseFaultQuarantinesInsteadOfThrowing) {
 
 TEST(QuarantineTest, AcquireFaultSurfacesAndPoolRecovers) {
   const SneConfig hw = SneConfig::paper_design_point(2);
-  ecnn::EnginePool pool(
-      hw, 1, ecnn::EnginePoolOptions{1u << 20, {}, false, /*max_engines=*/1});
+  ecnn::EnginePoolOptions po;
+  po.max_engines = 1;
+  ecnn::EnginePool pool(hw, 1, po);
   ScopedFaults chaos(hits_on("ecnn.pool.acquire", {1}));
   EXPECT_THROW((void)pool.acquire(), FaultError);
   EXPECT_NO_THROW({ ecnn::EnginePool::Lease lease = pool.acquire(); });
@@ -322,15 +324,12 @@ TEST(RetryTest, RetriedResultsAreBitwiseIdenticalToFaultFreeRun) {
   for (std::uint64_t s = 0; s < 6; ++s)
     inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 950 + s));
 
-  ecnn::BatchOptions bo;
-  bo.memory_words = 1u << 20;
-  ecnn::BatchRunner batch(hw, *registry.get("m"), bo);
+  ecnn::BatchRunner batch(hw, *registry.get("m"));
   std::vector<NetworkRunStats> ref;
   for (const auto& in : inputs) ref.push_back(batch.run_one(in));
 
   serve::ServeOptions so;
   so.engines = 1;  // serialize dispatch: hit k == k-th dispatch attempt
-  so.memory_words = 1u << 20;
   so.warm_weights = false;  // strict tier: retried results must be bitwise
   serve::InferenceServer server(registry, hw, so);
 
@@ -362,14 +361,11 @@ TEST(RetryTest, MidRequestProgrammingFaultRecoversBitwise) {
   const SneConfig hw = SneConfig::paper_design_point(2);
   const auto in = data::random_stream({1, 16, 16, 10}, 0.08, 970);
 
-  ecnn::BatchOptions bo;
-  bo.memory_words = 1u << 20;
-  ecnn::BatchRunner batch(hw, *registry.get("m"), bo);
+  ecnn::BatchRunner batch(hw, *registry.get("m"));
   const NetworkRunStats ref = batch.run_one(in);
 
   serve::ServeOptions so;
   so.engines = 1;
-  so.memory_words = 1u << 20;
   so.warm_weights = false;
   serve::InferenceServer server(registry, hw, so);
 
@@ -399,7 +395,6 @@ TEST(RetryTest, ExhaustedBudgetFailsTicketAndServerSurvives) {
   registry.put("m", three_layer_net());
   serve::ServeOptions so;
   so.engines = 1;
-  so.memory_words = 1u << 20;
   so.warm_weights = false;
   so.retry_budget = 2;
   serve::InferenceServer server(registry, SneConfig::paper_design_point(2), so);
@@ -448,7 +443,6 @@ TEST(DeadlineTest, ExpiredAtAdmissionIsShedNotSimulated) {
   registry.put("m", three_layer_net());
   serve::ServeOptions so;
   so.engines = 1;
-  so.memory_words = 1u << 20;
   serve::InferenceServer server(registry, SneConfig::paper_design_point(2), so);
   const auto in = data::random_stream({1, 16, 16, 10}, 0.08, 990);
 
@@ -485,7 +479,6 @@ TEST(DeadlineTest, ExpiredInQueueFailsFastWithConsistentAccounting) {
   registry.put("m", three_layer_net());
   serve::ServeOptions so;
   so.engines = 1;  // one worker: the stalled request blocks the queue
-  so.memory_words = 1u << 20;
   so.warm_weights = false;
   serve::InferenceServer server(registry, SneConfig::paper_design_point(2), so);
   const auto in = data::random_stream({1, 16, 16, 10}, 0.08, 991);
@@ -527,15 +520,12 @@ TEST(AdmissionChaosTest, AdmitFaultsLeaveNoResidueUnderMultiTenantLoad) {
   std::vector<event::EventStream> inputs;
   for (std::uint64_t s = 0; s < 3 * kPerTenant; ++s)
     inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 700 + s));
-  ecnn::BatchOptions bo;
-  bo.memory_words = 1u << 20;
-  ecnn::BatchRunner batch(hw, net, bo);
+  ecnn::BatchRunner batch(hw, net);
   std::vector<NetworkRunStats> ref;
   for (const auto& in : inputs) ref.push_back(batch.run_one(in));
 
   serve::ServeOptions so;
   so.engines = 2;
-  so.memory_words = 1u << 20;
   so.warm_weights = false;  // strict tier for the survivors
   serve::InferenceServer server(registry, hw, so);
   for (const auto& [name, w] : {std::pair<const char*, unsigned>{"a", 1},
@@ -610,9 +600,7 @@ TEST(SessionChaosTest, ChunkFaultStormRecoversMidSessionBitwise) {
       fired.push_back(static_cast<std::size_t>(n - 1));
   ASSERT_EQ(fired, (std::vector<std::size_t>{1, 2, 5}));
 
-  ecnn::EnginePoolOptions po;
-  po.memory_words = 1u << 20;
-  ecnn::EnginePool pool(hw, 0, po);
+  ecnn::EnginePool pool(hw, 0);
   serve::SessionOptions sopts;
   sopts.horizon_timesteps = 24;
   serve::StreamingSession victim(pool, model, sopts);

@@ -128,19 +128,10 @@ TEST(ArbiterTest, NoStarvationUnderLoad) {
   for (int c : count) EXPECT_EQ(c, 100);
 }
 
-TEST(MemoryTest, ReadWriteAndBulk) {
-  MemoryModel mem(1024);
-  mem.write_word(10, 0xABCD);
-  EXPECT_EQ(mem.read_word(10), 0xABCDu);
-  mem.load(100, {1, 2, 3});
-  EXPECT_EQ(mem.dump(100, 3), (std::vector<std::uint32_t>{1, 2, 3}));
-  EXPECT_THROW(mem.read_word(2000), ContractViolation);
-}
-
 TEST(MemoryTest, BurstTiming) {
   MemoryTiming t;
   t.latency_cycles = 6;
-  MemoryModel mem(64, t);
+  MemoryModel mem(t);
   EXPECT_EQ(mem.next_word_delay(true), 6u);   // first word pays latency
   EXPECT_EQ(mem.next_word_delay(false), 1u);  // streaming afterwards
 }
@@ -150,7 +141,7 @@ TEST(MemoryTest, ContentionStallsAreSeededDeterministic) {
   t.latency_cycles = 2;
   t.stall_probability = 0.5;
   t.stall_cycles = 8;
-  MemoryModel a(64, t, /*seed=*/42), b(64, t, /*seed=*/42);
+  MemoryModel a(t, /*seed=*/42), b(t, /*seed=*/42);
   for (int i = 0; i < 50; ++i)
     EXPECT_EQ(a.next_word_delay(false), b.next_word_delay(false));
 }

@@ -541,9 +541,7 @@ TEST(Tracer, SessionChunksAreBitwiseIdenticalWithTelemetryOn) {
   const auto model = std::make_shared<const QuantizedNetwork>(net);
   const auto full = data::random_stream({1, 16, 16, 12}, 0.08, 321);
   const auto run_session = [&] {
-    ecnn::EnginePoolOptions po;
-    po.memory_words = 1u << 20;
-    ecnn::EnginePool pool(hw, 0, po);
+    ecnn::EnginePool pool(hw, 0);
     serve::SessionOptions sopts;
     sopts.horizon_timesteps = 12;
     serve::StreamingSession session(pool, model, sopts);

@@ -147,7 +147,6 @@ TEST(RngStreamsTest, BatchWorkerCountInvariance) {
   for (const unsigned workers : {1u, 2u, 4u}) {
     ecnn::BatchOptions bo;
     bo.workers = workers;
-    bo.memory_words = 1u << 20;
     bo.mem_timing = stall_timing();
     ecnn::BatchRunner batch(SneConfig::paper_design_point(2), net, bo);
     all.push_back(batch.run(inputs));
@@ -177,7 +176,7 @@ TEST(RngStreamsTest, FastForwardAndDrainBatchingStayExact) {
     SneConfig hw = SneConfig::paper_design_point(2);
     hw.fast_forward = mode > 0;
     hw.drain_batching = mode > 1;
-    SneEngine engine(hw, 1u << 20, stall_timing());
+    SneEngine engine(hw, SneEngine::kDefaultMemoryWords, stall_timing());
     NetworkRunner runner(engine, /*use_wload_stream=*/false);
     stats[k++] = runner.run(net, in);
   }
@@ -199,12 +198,12 @@ TEST(RngStreamsTest, WarmWloadRelaxedTierUnderStreamSplit) {
   ASSERT_NE(fp, 0u);
   const SneConfig hw = SneConfig::paper_design_point(2);
 
-  SneEngine ref_engine(hw, 1u << 20, stall_timing());
+  SneEngine ref_engine(hw, SneEngine::kDefaultMemoryWords, stall_timing());
   NetworkRunner ref_runner(ref_engine, /*use_wload_stream=*/true);
   const NetworkRunStats ref = ref_runner.run(net, in);
   ASSERT_GT(ref.programming.weight_load_beats, 0u);
 
-  SneEngine engine(hw, 1u << 20, stall_timing());
+  SneEngine engine(hw, SneEngine::kDefaultMemoryWords, stall_timing());
   NetworkRunner runner(engine, /*use_wload_stream=*/true);
   const NetworkRunStats first =
       runner.run(net, in, event::FirePolicy::kActiveStepsOnly, fp);
@@ -235,7 +234,7 @@ TEST(RngStreamsTest, ServingFrontEndsAcceptStreamSplitStalls) {
   const SneConfig hw = SneConfig::paper_design_point(2);
   const auto in = data::random_stream({1, 16, 16, 10}, 0.08, 680);
 
-  SneEngine engine(hw, 1u << 20, stall_timing());
+  SneEngine engine(hw, SneEngine::kDefaultMemoryWords, stall_timing());
   NetworkRunner runner(engine, /*use_wload_stream=*/false);
   const NetworkRunStats ref = runner.run(net, in);
 
@@ -243,7 +242,6 @@ TEST(RngStreamsTest, ServingFrontEndsAcceptStreamSplitStalls) {
   registry.put("m", net);
   serve::ServeOptions so;
   so.engines = 2;
-  so.memory_words = 1u << 20;
   so.mem_timing = stall_timing();
   so.warm_weights = false;  // strict comparison against the cold ref
   serve::InferenceServer server(registry, hw, so);
@@ -273,7 +271,6 @@ TEST(RngStreamsTest, SessionRecoveryReplaysStalls) {
     chunks.push_back(data::random_stream({1, 16, 16, 4}, 0.1, 700 + s));
 
   ecnn::EnginePoolOptions po;
-  po.memory_words = 1u << 20;
   po.mem_timing = stall_timing();
   ecnn::EnginePool pool(hw, 0, po);
   serve::SessionOptions sopts;
@@ -300,9 +297,7 @@ TEST(RngStreamsTest, SessionRecoveryReplaysStalls) {
   EXPECT_EQ(pool.stats().quarantined, 1u);
 
   serve::StreamingSession replay(pool, model, sopts);
-  ecnn::EnginePoolOptions quiet_po;
-  quiet_po.memory_words = 1u << 20;
-  ecnn::EnginePool quiet_pool(hw, 0, quiet_po);
+  ecnn::EnginePool quiet_pool(hw, 0);
   serve::StreamingSession quiet(quiet_pool, model, sopts);
   for (std::size_t k = 0; k < survived.size(); ++k) {
     const auto& chunk = chunks[survived_idx[k]];

@@ -357,11 +357,11 @@ TEST(EngineResetTest, ResetEngineMatchesFreshIncludingStallRng) {
   hwsim::MemoryTiming timing;
   timing.stall_probability = 0.3;  // randomized contention: RNG state matters
 
-  SneEngine fresh(hw, 1u << 20, timing);
+  SneEngine fresh(hw, SneEngine::kDefaultMemoryWords, timing);
   NetworkRunner fresh_runner(fresh, /*use_wload_stream=*/false);
   const NetworkRunStats ref = fresh_runner.run(net, in);
 
-  SneEngine reused(hw, 1u << 20, timing);
+  SneEngine reused(hw, SneEngine::kDefaultMemoryWords, timing);
   NetworkRunner reused_runner(reused, /*use_wload_stream=*/false);
   (void)reused_runner.run(net, in);  // dirty the engine (incl. RNG state)
   reused.reset();
@@ -374,13 +374,12 @@ TEST(EnginePoolTest, LeasedEnginesAreBitwiseFresh) {
   const auto in = data::random_stream({1, 16, 16, 10}, 0.08, 37);
   const SneConfig hw = SneConfig::paper_design_point(2);
 
-  ecnn::BatchOptions bo;
-  bo.memory_words = 1u << 20;
-  ecnn::BatchRunner batch(hw, net, bo);
+  ecnn::BatchRunner batch(hw, net);
   const NetworkRunStats ref = batch.run_one(in);
 
-  ecnn::EnginePool pool(
-      hw, 1, ecnn::EnginePoolOptions{1u << 20, {}, false, /*max_engines=*/1});
+  ecnn::EnginePoolOptions po;
+  po.max_engines = 1;
+  ecnn::EnginePool pool(hw, 1, po);
   for (int round = 0; round < 3; ++round) {
     ecnn::EnginePool::Lease lease = pool.acquire();
     expect_equivalent(ref, lease.runner().run(net, in));
@@ -392,8 +391,9 @@ TEST(EnginePoolTest, LeasedEnginesAreBitwiseFresh) {
 
 TEST(EnginePoolTest, TaggedAcquiresPreferResidentEngines) {
   const SneConfig hw = SneConfig::paper_design_point(2);
-  ecnn::EnginePool pool(
-      hw, 2, ecnn::EnginePoolOptions{1u << 20, {}, false, /*max_engines=*/2});
+  ecnn::EnginePoolOptions po;
+  po.max_engines = 2;
+  ecnn::EnginePool pool(hw, 2, po);
   const std::uint64_t tag_a = 111, tag_b = 222;
 
   core::SneEngine* engine_a = nullptr;
@@ -503,7 +503,6 @@ TEST(BatchRunnerTest, PooledRunMatchesFreshUnderStallRng) {
     inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 400 + s));
 
   ecnn::BatchOptions bo;
-  bo.memory_words = 1u << 20;
   bo.workers = 2;
   bo.mem_timing.stall_probability = 0.2;  // stalls reseed per program
   ecnn::BatchRunner runner(SneConfig::paper_design_point(2), net, bo);
@@ -528,7 +527,6 @@ TEST(ServerTest, ServedResultsMatchSerialReferenceAnyEngineCountAnyOrder) {
   // extra engine.run()s per pass, and serving must reproduce those too.
   for (const bool wload : {false, true}) {
     ecnn::BatchOptions bo;
-    bo.memory_words = 1u << 20;
     bo.use_wload_stream = wload;
     ecnn::BatchRunner batch(hw, *registry.get("m"), bo);
     std::vector<NetworkRunStats> ref;
@@ -539,7 +537,6 @@ TEST(ServerTest, ServedResultsMatchSerialReferenceAnyEngineCountAnyOrder) {
     for (const unsigned engines : {1u, 2u, 4u}) {
       serve::ServeOptions so;
       so.engines = engines;
-      so.memory_words = 1u << 20;
       so.warm_weights = false;  // strict tier: reprogram every request
       so.use_wload_stream = wload;
       serve::InferenceServer server(registry, hw, so);
@@ -570,7 +567,6 @@ TEST(ServerTest, AdmissionAccountingAndUnknownModels) {
   const SneConfig hw = SneConfig::paper_design_point(2);
   serve::ServeOptions so;
   so.engines = 1;
-  so.memory_words = 1u << 20;
   serve::InferenceServer server(registry, hw, so);
   serve::TenantConfig narrow;
   narrow.max_queue = 1;
@@ -612,7 +608,6 @@ TEST(ServerTest, RequestFailureSurfacesOnTicketNotServer) {
   const SneConfig hw = SneConfig::paper_design_point(2);
   serve::ServeOptions so;
   so.engines = 1;
-  so.memory_words = 1u << 20;
   serve::InferenceServer server(registry, hw, so);
 
   serve::Ticket t_bad =
@@ -648,11 +643,11 @@ TEST(WarmRunTest, WarmRunsObeyRelaxedTier) {
       const std::uint64_t fp = ecnn::model_fingerprint(net);
       ASSERT_NE(fp, 0u);
 
-      SneEngine ref_engine(hw, 1u << 20);
+      SneEngine ref_engine(hw);
       NetworkRunner ref_runner(ref_engine, wload);
       const NetworkRunStats ref = ref_runner.run(net, in);
 
-      SneEngine engine(hw, 1u << 20);
+      SneEngine engine(hw);
       NetworkRunner runner(engine, wload);
       const NetworkRunStats first =
           runner.run(net, in, event::FirePolicy::kActiveStepsOnly, fp);
@@ -680,7 +675,7 @@ TEST(WarmRunTest, WarmRunsObeyRelaxedTier) {
 
       // Deploy-time programming: program_layer installs and tags passes
       // without consuming input, so even the first request can run warm.
-      SneEngine primed(hw, 1u << 20);
+      SneEngine primed(hw);
       NetworkRunner primed_runner(primed, wload);
       for (std::size_t li = 0; li < net.layers.size(); ++li)
         primed_runner.program_layer(net.layers[li], in.geometry().timesteps,
@@ -709,11 +704,11 @@ TEST(WarmRunTest, MachineResetColdRunsStayBitwiseFresh) {
   hwsim::MemoryTiming timing;
   timing.stall_probability = 0.3;  // randomized contention: RNG state matters
 
-  SneEngine fresh(hw, 1u << 20, timing);
+  SneEngine fresh(hw, SneEngine::kDefaultMemoryWords, timing);
   NetworkRunner fresh_runner(fresh, /*use_wload_stream=*/false);
   const NetworkRunStats ref = fresh_runner.run(net, in);
 
-  SneEngine reused(hw, 1u << 20, timing);
+  SneEngine reused(hw, SneEngine::kDefaultMemoryWords, timing);
   NetworkRunner reused_runner(reused, /*use_wload_stream=*/false);
   (void)reused_runner.run(other, in);  // dirty with a different model
   reused.reset_machine_state();
@@ -730,11 +725,11 @@ TEST(WarmRunTest, ResidencyNeverCrossesModels) {
   const std::uint64_t fb = ecnn::model_fingerprint(b);
   EXPECT_NE(fa, fb);
 
-  SneEngine ref_engine(hw, 1u << 20);
+  SneEngine ref_engine(hw);
   NetworkRunner ref_runner(ref_engine, /*use_wload_stream=*/false);
   const NetworkRunStats ref_b = ref_runner.run(b, in);
 
-  SneEngine engine(hw, 1u << 20);
+  SneEngine engine(hw);
   NetworkRunner runner(engine, /*use_wload_stream=*/false);
   (void)runner.run(a, in, event::FirePolicy::kActiveStepsOnly, fa);
   engine.reset_machine_state();
@@ -754,16 +749,13 @@ TEST(ServerTest, WarmServingObeysRelaxedTierAndSkipsReprogramming) {
   for (std::uint64_t s = 0; s < 8; ++s)
     inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 520 + s));
 
-  ecnn::BatchOptions bo;
-  bo.memory_words = 1u << 20;
-  ecnn::BatchRunner batch(hw, *registry.get("m"), bo);
+  ecnn::BatchRunner batch(hw, *registry.get("m"));
   std::vector<NetworkRunStats> ref;
   for (const auto& in : inputs) ref.push_back(batch.run_one(in));
 
   for (const unsigned engines : {1u, 2u}) {
     serve::ServeOptions so;  // warm_weights defaults on
     so.engines = engines;
-    so.memory_words = 1u << 20;
     serve::InferenceServer server(registry, hw, so);
     std::vector<serve::Ticket> tickets(inputs.size());
     for (std::size_t i = inputs.size(); i-- > 0;)
@@ -795,7 +787,6 @@ TEST(ServerTest, WarmServingEliminatesWloadStreamingSteadyState) {
     inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 540 + s));
 
   ecnn::BatchOptions bo;
-  bo.memory_words = 1u << 20;
   bo.use_wload_stream = true;
   ecnn::BatchRunner batch(hw, net, bo);
   std::vector<NetworkRunStats> ref;
@@ -804,7 +795,6 @@ TEST(ServerTest, WarmServingEliminatesWloadStreamingSteadyState) {
 
   serve::ServeOptions so;
   so.engines = 1;  // sequential: requests after the first are fully warm
-  so.memory_words = 1u << 20;
   so.use_wload_stream = true;
   serve::InferenceServer server(registry, hw, so);
   std::vector<serve::Ticket> tickets;
@@ -852,7 +842,6 @@ TEST(ServerTest, SessionsAndWarmOneShotsShareOneEngine) {
     chunks_q.push_back(data::random_stream({1, 16, 16, 4}, 0.1, 920 + r));
   }
   ecnn::BatchOptions bo;
-  bo.memory_words = 1u << 20;
   const auto cold = [&](const std::string& m) {
     ecnn::BatchRunner batch(hw, *registry.get(m), bo);
     std::vector<NetworkRunStats> out;
@@ -864,9 +853,7 @@ TEST(ServerTest, SessionsAndWarmOneShotsShareOneEngine) {
   sopts.horizon_timesteps = 4 * kRounds;
   const auto serial = [&](const std::string& m,
                           const std::vector<event::EventStream>& chunks) {
-    ecnn::EnginePoolOptions po;
-    po.memory_words = 1u << 20;
-    ecnn::EnginePool pool(hw, 0, po);
+    ecnn::EnginePool pool(hw, 0);
     serve::StreamingSession s(pool, registry.get(m), sopts);
     std::vector<NetworkRunStats> out;
     for (const auto& c : chunks) out.push_back(s.feed(c).wait());
@@ -877,7 +864,6 @@ TEST(ServerTest, SessionsAndWarmOneShotsShareOneEngine) {
 
   serve::ServeOptions so;  // warm_weights defaults on
   so.engines = 1;
-  so.memory_words = 1u << 20;
   serve::InferenceServer server(registry, hw, so);
   auto sp = server.open_session("p", sopts);
   auto sq = server.open_session("q", sopts);
@@ -914,9 +900,7 @@ TEST(RegistryTest, RepointUnderLoadKeepsServingTheResolvedSnapshot) {
   for (std::uint64_t s = 0; s < 6; ++s)
     inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 640 + s));
 
-  ecnn::BatchOptions bo;
-  bo.memory_words = 1u << 20;
-  ecnn::BatchRunner batch_v1(hw, v1, bo), batch_v2(hw, v2, bo);
+  ecnn::BatchRunner batch_v1(hw, v1), batch_v2(hw, v2);
   std::vector<NetworkRunStats> ref_v1, ref_v2;
   for (const auto& in : inputs) {
     ref_v1.push_back(batch_v1.run_one(in));
@@ -927,7 +911,6 @@ TEST(RegistryTest, RepointUnderLoadKeepsServingTheResolvedSnapshot) {
   registry.put("m", v1);
   serve::ServeOptions so;
   so.engines = 1;  // queue backs up: the re-point lands mid-flight
-  so.memory_words = 1u << 20;
   serve::InferenceServer server(registry, hw, so);
 
   std::vector<serve::Ticket> t1;

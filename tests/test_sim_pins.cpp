@@ -202,9 +202,7 @@ TEST(SimPins, SessionChunksWithOneOnARestoredEngine) {
   const SneConfig hw = SneConfig::paper_design_point(2);
   const auto full = data::random_stream({1, 16, 16, 12}, 0.1, 4321);
 
-  ecnn::EnginePoolOptions po;
-  po.memory_words = 1u << 20;
-  ecnn::EnginePool pool(hw, 0, po);
+  ecnn::EnginePool pool(hw, 0);
   serve::SessionOptions so;
   so.horizon_timesteps = 12;
   serve::StreamingSession session(
@@ -249,7 +247,7 @@ TEST(SimPins, DenseLayerUnderContentKeyedStalls) {
   timing.latency_cycles = 9;
   timing.stall_probability = 0.25;
   timing.stall_cycles = 12;
-  core::SneEngine engine(hw, 1u << 20, timing);
+  core::SneEngine engine(hw, core::SneEngine::kDefaultMemoryWords, timing);
   ecnn::NetworkRunner runner(engine, /*use_wload_stream=*/false);
   const NetworkRunStats r =
       runner.run(net, data::random_stream({1, 16, 16, 10}, 0.1, 177));
@@ -271,7 +269,7 @@ TEST(SimPins, MultiRoundConvOnTwoSlices) {
   QuantizedNetwork net;
   net.layers.push_back(conv(3, 12, 20, 3, -3, 29));
   const SneConfig hw = SneConfig::paper_design_point(2);
-  core::SneEngine engine(hw, 1u << 20);
+  core::SneEngine engine(hw);
   ecnn::NetworkRunner runner(engine, /*use_wload_stream=*/false);
   const NetworkRunStats r =
       runner.run(net, data::random_stream({3, 12, 12, 8}, 0.05, 999));
@@ -329,7 +327,6 @@ TEST(SimPins, WloadStreamedWarmServe) {
   const SneConfig hw = SneConfig::paper_design_point(2);
   serve::ServeOptions so;
   so.engines = 1;
-  so.memory_words = 1u << 20;
   so.use_wload_stream = true;
   serve::InferenceServer server(registry, hw, so);
   const auto in = data::random_stream({1, 16, 16, 10}, 0.08, 51);

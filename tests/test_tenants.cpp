@@ -358,7 +358,6 @@ TEST(TenantServerTest, SaturatedSharesTrackWeights) {
   const SneConfig hw = SneConfig::paper_design_point(2);
   serve::ServeOptions so;
   so.engines = 1;  // one dispatcher: shares come purely from the scheduler
-  so.memory_words = 1u << 20;
   serve::InferenceServer server(registry, hw, so);
   for (const auto& [name, w] : {std::pair<const char*, unsigned>{"a", 1},
                                 {"b", 2},
@@ -436,7 +435,6 @@ TEST(TenantServerTest, MisbehavingTenantCannotStarveOthers) {
   const SneConfig hw = SneConfig::paper_design_point(2);
   serve::ServeOptions so;
   so.engines = 1;
-  so.memory_words = 1u << 20;
   serve::InferenceServer server(registry, hw, so);
   TenantConfig greedy_cfg;
   greedy_cfg.weight = 1;
@@ -502,15 +500,12 @@ TEST(TenantServerTest, SchedulingNeverChangesResults) {
   std::vector<event::EventStream> inputs;
   for (std::uint64_t s = 0; s < 6; ++s)
     inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 500 + s));
-  ecnn::BatchOptions bo;
-  bo.memory_words = 1u << 20;
-  ecnn::BatchRunner batch(hw, *registry.get("m"), bo);
+  ecnn::BatchRunner batch(hw, *registry.get("m"));
   std::vector<NetworkRunStats> ref;
   for (const auto& in : inputs) ref.push_back(batch.run_one(in));
 
   serve::ServeOptions so;
   so.engines = 2;
-  so.memory_words = 1u << 20;
   so.warm_weights = false;  // strict tier: bitwise against the cold reference
   serve::InferenceServer server(registry, hw, so);
   TenantConfig heavy;
@@ -544,7 +539,6 @@ TEST(TenantServerTest, HeadlineSumsTheTenantLedgersInEverySnapshot) {
   registry.put("m", tiny_net());
   serve::ServeOptions so;
   so.engines = 1;
-  so.memory_words = 1u << 20;
   so.warm_weights = false;  // every dispatch programs: the retry fault site
   serve::InferenceServer server(registry, SneConfig::paper_design_point(2),
                                 so);
@@ -638,7 +632,6 @@ TEST(TenantServerTest, UnknownTenantIsAConfigError) {
   registry.put("m", tiny_net());
   serve::ServeOptions so;
   so.engines = 1;
-  so.memory_words = 1u << 20;
   serve::InferenceServer server(registry, SneConfig::paper_design_point(2),
                                 so);
   serve::RequestOptions ro;
@@ -652,7 +645,6 @@ TEST(TenantServerTest, UnknownTenantIsAConfigError) {
 
 ecnn::EnginePoolOptions session_pool_opts() {
   ecnn::EnginePoolOptions po;
-  po.memory_words = 1u << 20;
   return po;
 }
 
@@ -662,7 +654,7 @@ TEST(SessionTest, ChunkedRunMatchesOneShotFunctionally) {
   const auto full = data::random_stream({1, 16, 16, 12}, 0.08, 123);
 
   // One-shot pipeline reference over the concatenated stream.
-  SneEngine engine(hw, 1u << 20);
+  SneEngine engine(hw);
   const auto geom = ecnn::build_pipeline(engine, net, 12);
   core::RunOptions ropts;
   ropts.out_geometry = geom;
@@ -817,9 +809,9 @@ TEST(SessionTest, RestoredEngineContinuesTheRunBitwise) {
   const auto chunks = split_chunks(full, kChunk);
   const ecnn::PipelinePlan plan = ecnn::plan_pipeline(hw, net, 8 * kChunk);
 
-  SneEngine uninterrupted(hw, 1u << 20);
+  SneEngine uninterrupted(hw);
   ecnn::program_pipeline(uninterrupted, plan);
-  SneEngine restored(hw, 1u << 20);
+  SneEngine restored(hw);
   SneEngine::NeuronState snapshot;
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     const auto t0 = static_cast<std::uint16_t>(i * kChunk);
@@ -960,7 +952,6 @@ TEST(TenantServerTest, SessionQuotaAndEviction) {
   const SneConfig hw = SneConfig::paper_design_point(2);
   serve::ServeOptions so;
   so.engines = 2;
-  so.memory_words = 1u << 20;
   serve::InferenceServer server(registry, hw, so);
   TenantConfig cfg;
   cfg.max_sessions = 1;
@@ -1028,7 +1019,6 @@ TEST(TenantServerTest, ServerSessionMatchesStandaloneAndNeverBlocksFeed) {
   registry.put("p", net);
   serve::ServeOptions so;
   so.engines = 1;
-  so.memory_words = 1u << 20;
   serve::InferenceServer server(registry, hw, so);
   auto session = server.open_session("p", sopts);
   // The first chunk stalls on its worker: it runs while the next 8 fill
@@ -1061,7 +1051,6 @@ TEST(TenantServerTest, DefaultTenantSessionQuotaIs64) {
   registry.put("p", pipeline_net());
   serve::ServeOptions so;
   so.engines = 1;
-  so.memory_words = 1u << 16;
   serve::InferenceServer server(registry, SneConfig::paper_design_point(2),
                                 so);
   // Opening plans only, so 64 sessions on one engine cost no simulation.
@@ -1090,7 +1079,6 @@ TEST(TenantServerTest, SessionsRunOnDispatchWorkersWithoutThreads) {
   registry.put("p", pipeline_net());
   serve::ServeOptions so;
   so.engines = 16;
-  so.memory_words = 1u << 16;
   serve::InferenceServer server(registry, SneConfig::paper_design_point(2),
                                 so);
   serve::SessionOptions sopts;
@@ -1148,7 +1136,6 @@ TEST(TenantServerTest, ThousandSessionsShareTwoEngines) {
   registry.put("p", net);
   serve::ServeOptions so;
   so.engines = 2;
-  so.memory_words = 1u << 16;
   serve::InferenceServer server(registry, hw, so);
   TenantConfig cfg;
   cfg.max_sessions = kSessions;
