@@ -10,7 +10,8 @@
 // per in-flight slot, grown on demand and kept across run() calls) instead
 // of building one per sample. A build costs only tens of microseconds, but
 // a pooled engine keeps its slice arrays and DMA region buffers allocated,
-// and a fresh engine per sample measured slower on the gesture workload.
+// and a fresh engine per sample read lower throughput at the median on the
+// gesture workload.
 // run_one() keeps the fresh-engine path as the reference semantics.
 //
 // Determinism: a released engine is machine-reset to the freshly-constructed
